@@ -2,8 +2,8 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
-#include "linalg/serialize.h"
 #include "obs/trace.h"
 
 namespace tfd::core {
@@ -27,9 +27,6 @@ online_detector::online_detector(std::size_t flows, const online_options& opts)
     if (opts.refit_interval == 0)
         throw std::invalid_argument(
             "online_detector: refit_interval must be > 0");
-    if (opts.rematerialize_every == 0)
-        throw std::invalid_argument(
-            "online_detector: rematerialize_every must be > 0");
     if (opts.recalibration.enabled) {
         const recalibration_options& rc = opts.recalibration;
         if (rc.relearn_bins < 2 || rc.relearn_bins > opts.window)
@@ -43,33 +40,6 @@ online_detector::online_detector(std::size_t flows, const online_options& opts)
     layout_.flows = flows;
     // layout_.h stays empty; only column() arithmetic is used.
     layout_.h.resize(0, flow::feature_count * flows);
-    const std::size_t d = flow::feature_count * flows;
-    gram_.resize(d, d);
-    colsum_.assign(d, 0.0);
-}
-
-void online_detector::accumulate(const std::vector<double>& row, double sign) {
-    // Rank-1 update (sign +1) or downdate (sign -1) of the window's raw
-    // Gram upper triangle and column sums.
-    const std::size_t d = row.size();
-    for (std::size_t i = 0; i < d; ++i) {
-        const double v = sign * row[i];
-        colsum_[i] += v;
-        if (v == 0.0) continue;
-        double* gi = gram_.row(i).data();
-        const double* r = row.data();
-        for (std::size_t j = i; j < d; ++j) gi[j] += v * r[j];
-    }
-}
-
-void online_detector::rematerialize() {
-    // Exact rebuild of the incremental moments from the raw window, in
-    // canonical (oldest-first) order: bounds float drift from long
-    // update/downdate streams.
-    gram_.fill(0.0);
-    std::fill(colsum_.begin(), colsum_.end(), 0.0);
-    for (const auto& row : window_) accumulate(row, 1.0);
-    refits_since_exact_ = 0;
 }
 
 std::vector<double> online_detector::flatten(const entropy_snapshot& s) const {
@@ -83,58 +53,32 @@ std::vector<double> online_detector::flatten(const entropy_snapshot& s) const {
 
 void online_detector::refit() {
     obs::stage_span refit_span(opts_.refit_timer);
-    // The incremental moments already hold everything a fit needs: the
-    // per-feature-block energies are diagonal sums of the raw Gram, and
-    // the covariance of the block-normalized window is a rescaling of it
-    // minus the mean outer product. No W x 4p re-flattening, no O(W d^2)
-    // re-multiplication — just O(d^2) scaling and the eigensolve.
-    if (++refits_since_exact_ >= opts_.rematerialize_every) rematerialize();
-
+    // Stack the raw window oldest-first into one t x d matrix and
+    // normalize each feature block to unit energy exactly as unfold()
+    // does: the energy is summed over the block's t x p submatrix row by
+    // row (frobenius_norm's order), so the fit below is bit-identical to
+    // a batch fit of the same window.
     const std::size_t t = window_.size();
     const std::size_t d = flow::feature_count * flows_;
-
-    // Per-feature block energies over the raw window = block traces of
-    // the raw Gram (batch unfold() semantics).
-    std::vector<double> col_inv(d, 1.0);
+    linalg::matrix h(t, d);
     for (int f = 0; f < flow::feature_count; ++f) {
+        const std::size_t c0 = static_cast<std::size_t>(f) * flows_;
         double energy = 0.0;
-        for (std::size_t od = 0; od < flows_; ++od) {
-            const std::size_t c = static_cast<std::size_t>(f) * flows_ + od;
-            energy += gram_(c, c);
-        }
-        const double norm = energy > 0.0 ? std::sqrt(energy) : 1.0;
+        for (const auto& row : window_)
+            for (std::size_t od = 0; od < flows_; ++od)
+                energy += row[c0 + od] * row[c0 + od];
+        double norm = std::sqrt(energy);
+        if (norm == 0.0) norm = 1.0;  // all-zero feature block stays zero
         norms_[f] = norm;
         const double inv = 1.0 / norm;
-        for (std::size_t od = 0; od < flows_; ++od)
-            col_inv[static_cast<std::size_t>(f) * flows_ + od] = inv;
-    }
-
-    // Column means of the normalized window (zero when not centering).
-    std::vector<double> mean(d, 0.0);
-    if (opts_.subspace.center)
-        for (std::size_t i = 0; i < d; ++i)
-            mean[i] = col_inv[i] * colsum_[i] / static_cast<double>(t);
-
-    // cov(i,j) = (di dj G(i,j) - t mu_i mu_j) / (t - 1), built full
-    // symmetric from the maintained upper triangle.
-    const double denom = static_cast<double>(t - 1);
-    linalg::matrix cov(d, d);
-    for (std::size_t i = 0; i < d; ++i) {
-        const double di = col_inv[i];
-        const double mi = mean[i];
-        const double* gi = gram_.row(i).data();
-        double* ci = cov.row(i).data();
-        for (std::size_t j = i; j < d; ++j) {
-            ci[j] = (di * col_inv[j] * gi[j] -
-                     static_cast<double>(t) * mi * mean[j]) /
-                    denom;
+        for (std::size_t r = 0; r < t; ++r) {
+            const double* src = window_[r].data() + c0;
+            double* dst = h.row(r).data() + c0;
+            for (std::size_t od = 0; od < flows_; ++od) dst[od] = src[od] * inv;
         }
     }
-    for (std::size_t i = 0; i < d; ++i)
-        for (std::size_t j = 0; j < i; ++j) cov(i, j) = cov(j, i);
 
-    model_ = subspace_model::fit_from_covariance(cov, std::move(mean),
-                                                 opts_.subspace);
+    model_ = subspace_model::fit(std::move(h), opts_.subspace);
     threshold_ = model_->q_threshold(opts_.alpha);
     since_refit_ = 0;
 
@@ -145,15 +89,12 @@ void online_detector::refit() {
 void online_detector::recalibrate() {
     // The re-learn window is over: the pre-drift history is the stale
     // part, so drop everything but the newest relearn_bins rows (all
-    // post-confirmation), rebuild the moments exactly from them, and
-    // refit + re-estimate the threshold. The resulting model state is
+    // post-confirmation), and refit + re-estimate the threshold. A refit
+    // reads nothing but the window, so the resulting model state is
     // bit-identical to a fresh detector (warmup == relearn_bins) fed
-    // exactly those rows: the truncated window matches its window, and
-    // rematerialize() accumulates rows oldest-first — the same rank-1
-    // sequence the fresh detector's per-push accumulate() performed.
+    // exactly those rows.
     const std::size_t keep = opts_.recalibration.relearn_bins;
     while (window_.size() > keep) window_.pop_front();
-    rematerialize();
     refit();
     state_ = detector_state::normal;
     relearn_progress_ = 0;
@@ -161,25 +102,16 @@ void online_detector::recalibrate() {
 }
 
 void online_detector::save(io::wire_writer& w) const {
-    const std::size_t d = flow::feature_count * flows_;
     w.varint(bins_seen_);
     w.varint(since_refit_);
-    w.varint(refits_since_exact_);
     w.f64(threshold_);
     for (double n : norms_) w.f64(n);
-    linalg::save(w, colsum_);
-    // accumulate() maintains only the upper triangle of the raw Gram
-    // (the strictly-lower one is structurally zero), so serialize just
-    // that: d(d+1)/2 doubles instead of d^2 — the Gram dominates the
-    // checkpoint, so this halves its largest section.
-    for (std::size_t i = 0; i < d; ++i)
-        for (std::size_t j = i; j < d; ++j) w.f64(gram_(i, j));
     w.varint(window_.size());
     for (const auto& row : window_)
         for (double v : row) w.f64(v);
     w.u8(model_.has_value() ? 1 : 0);
     if (model_) model_->save(w);
-    // Recalibration block (detector section v2). Written even when
+    // Recalibration block (since detector section v2). Written even when
     // disabled — the flag byte keeps the payload self-describing, and
     // the checkpoint fingerprint already pins the enabled option.
     w.u8(monitor_.has_value() ? 1 : 0);
@@ -194,15 +126,8 @@ void online_detector::load(io::wire_reader& r) {
     const std::size_t d = flow::feature_count * flows_;
     bins_seen_ = static_cast<std::size_t>(r.varint());
     since_refit_ = static_cast<std::size_t>(r.varint());
-    refits_since_exact_ = static_cast<std::size_t>(r.varint());
     threshold_ = r.f64();
     for (double& n : norms_) n = r.f64();
-    linalg::load(r, colsum_);
-    if (colsum_.size() != d)
-        r.fail("online_detector: moment shape mismatch");
-    gram_.resize(d, d);  // zeroed; only the upper triangle is stored
-    for (std::size_t i = 0; i < d; ++i)
-        for (std::size_t j = i; j < d; ++j) gram_(i, j) = r.f64();
     const std::uint64_t rows = r.varint();
     if (rows > opts_.window || rows > r.remaining() / (8 * d) + 1)
         r.fail("online_detector: implausible window size");
@@ -243,11 +168,7 @@ online_verdict online_detector::push(const entropy_snapshot& snapshot) {
     v.bin = bins_seen_++;
 
     window_.push_back(flatten(snapshot));
-    accumulate(window_.back(), 1.0);
-    if (window_.size() > opts_.window) {
-        accumulate(window_.front(), -1.0);
-        window_.pop_front();
-    }
+    if (window_.size() > opts_.window) window_.pop_front();
 
     // Degraded bookkeeping before the refit decision: the re-learn
     // window completing on this bin means this bin is scored under the

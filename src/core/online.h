@@ -9,17 +9,16 @@
 // would cost an eigendecomposition per 5 minutes; the model drifts
 // slowly, so refitting every R bins loses little).
 //
-// Incremental-refit contract: the detector maintains the window's raw
-// Gram matrix and column sums incrementally — a rank-1 update when a bin
-// is pushed, a rank-1 downdate when the oldest bin is evicted — so
-// refit() hands a ready-made covariance (with the per-feature-block
-// energy normalization and centering folded in) straight to the
-// eigensolver instead of re-flattening and re-multiplying the W x 4p
-// window each cadence. To bound floating-point drift from long
-// update/downdate streams, the Gram and sums are re-materialized exactly
-// from the raw window every `rematerialize_every` refits. Scoring,
-// thresholds and identification are unchanged relative to a from-scratch
-// batch refit up to rounding (see the online parity test).
+// Refit contract: the detector keeps only the window's raw rows, and a
+// refit is subspace_model::fit of the block-normalized window — the
+// rows stacked oldest-first into one t x 4p matrix and each feature
+// block divided by its Frobenius norm, with unfold()'s semantics and
+// summation order. The model, threshold and every verdict are therefore
+// bit-identical to a batch fit of the same window (pinned by the online
+// parity test). The fit picks its own algebra: while the window has
+// fewer rows than the unfolded matrix has columns (Géant's 576 bins
+// against 4 x 484 columns) it eigensolves the t x t Gram of the rows,
+// otherwise the 4p x 4p covariance; pushes only append and evict rows.
 //
 // The incoming unit of data is one network-wide snapshot: the four
 // entropy values and the volume counters for every OD flow in the bin.
@@ -68,11 +67,11 @@ struct recalibration_options {
     drift_options monitor{};
     /// Bins of post-drift history to re-learn from: once a shift is
     /// confirmed, the detector stays degraded for exactly this many more
-    /// bins, then truncates its window to those bins, rebuilds the
-    /// moments exactly, refits, and re-estimates the threshold. The
-    /// re-learned state is bit-identical to a fresh detector (with
-    /// warmup == relearn_bins) fed only the post-drift rows — the
-    /// fresh-fit parity contract pinned by tests/core/drift_test.cpp.
+    /// bins, then truncates its window to those bins, refits, and
+    /// re-estimates the threshold. The re-learned state is bit-identical
+    /// to a fresh detector (with warmup == relearn_bins) fed only the
+    /// post-drift rows — the fresh-fit parity contract pinned by
+    /// tests/core/drift_test.cpp.
     /// Must be in [2, window].
     std::size_t relearn_bins = 32;
     /// Confidence stamped on verdicts while degraded (normal bins carry
@@ -88,9 +87,6 @@ struct online_options {
     subspace_options subspace{.normal_dims = 10, .center = true};
     double alpha = 0.999;
     std::size_t max_identified = 3;  ///< flows identified per detection
-    /// Rebuild the incremental Gram/sums exactly from the raw window
-    /// every this many refits (drift bound). Must be > 0.
-    std::size_t rematerialize_every = 8;
     /// Optional latency sink: each refit() (the eigendecomposition
     /// cadence) records its duration here when non-null.
     /// Observability-only — excluded from the checkpoint fingerprint,
@@ -159,9 +155,7 @@ public:
     }
 
     /// Snapshot hook: serialize the complete streaming state — window
-    /// contents, the incrementally maintained Gram + column sums
-    /// bit-exactly (so the drift trajectory of future rank-1 updates is
-    /// unchanged), refit/rematerialization counters, and the current
+    /// rows bit-exactly, the refit cadence counter, and the current
     /// subspace model with its threshold. Configuration (flows, options)
     /// is NOT serialized: it belongs to the constructor, and the
     /// checkpoint layer fingerprints it so a snapshot can never be
@@ -179,8 +173,6 @@ private:
     void refit();
     void recalibrate();
     std::vector<double> flatten(const entropy_snapshot& s) const;
-    void accumulate(const std::vector<double>& row, double sign);
-    void rematerialize();
 
     std::size_t flows_;
     online_options opts_;
@@ -191,13 +183,6 @@ private:
     double threshold_ = 0.0;
     std::size_t bins_seen_ = 0;
     std::size_t since_refit_ = 0;
-
-    /// Incrementally maintained raw second moments of the window: upper
-    /// triangle of sum_r row row^T and per-column sums (see the
-    /// incremental-refit contract above).
-    linalg::matrix gram_;
-    std::vector<double> colsum_;
-    std::size_t refits_since_exact_ = 0;
     std::vector<double> obs_buf_;      ///< scoring scratch (normalized obs)
     std::vector<double> spe_scratch_;  ///< scoring scratch (centered obs)
 

@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 #include "linalg/serialize.h"
 #include "linalg/stats.h"
-#include "linalg/symmetric_eigen.h"
 
 namespace tfd::core {
 
@@ -56,7 +56,7 @@ void subspace_model::rebuild_pt() {
     }
 }
 
-subspace_model subspace_model::fit(const linalg::matrix& x,
+subspace_model subspace_model::fit(linalg::matrix x,
                                    const subspace_options& opts) {
     subspace_model m;
     linalg::pca_options popts;
@@ -70,48 +70,8 @@ subspace_model subspace_model::fit(const linalg::matrix& x,
     // moments) through the partial-spectrum solver; partial_fit = false
     // keeps the historical full-QL path for A/B parity.
     m.pca_ = opts.partial_fit
-                 ? linalg::fit_pca_topk(x, opts.normal_dims, popts)
+                 ? linalg::fit_pca_topk(std::move(x), opts.normal_dims, popts)
                  : linalg::fit_pca(x, popts);
-    m.finish_fit(opts);
-    return m;
-}
-
-subspace_model subspace_model::fit_from_covariance(const linalg::matrix& cov,
-                                                   std::vector<double> mean,
-                                                   const subspace_options& opts) {
-    if (cov.rows() != cov.cols() || cov.rows() != mean.size())
-        throw std::invalid_argument(
-            "fit_from_covariance: covariance/mean shape mismatch");
-    if (cov.rows() == 0)
-        throw std::invalid_argument("fit_from_covariance: empty covariance");
-    subspace_model m;
-    m.pca_.mean = std::move(mean);
-    if (opts.partial_fit) {
-        // Streaming refits only ever read the leading normal_dims axes;
-        // extract exactly those (the d x d eigensolve at the unfolded
-        // width is the whole cost of an online refit).
-        linalg::partial_eigen_result pe = linalg::symmetric_eigen_topk(
-            cov, std::max<std::size_t>(opts.normal_dims, 1));
-        for (double& v : pe.values) v = std::max(v, 0.0);
-        m.pca_.eigenvalues = std::move(pe.values);
-        m.pca_.components = std::move(pe.vectors);
-        m.pca_.spectrum_moments = pe.moments;
-        m.pca_.partial_spectrum = true;
-        m.pca_.total_variance = std::max(pe.moments[0], 0.0);
-    } else {
-        linalg::eigen_result eg = linalg::symmetric_eigen(cov);
-        for (double& v : eg.values) v = std::max(v, 0.0);
-        m.pca_.eigenvalues = std::move(eg.values);
-        m.pca_.components = std::move(eg.vectors);
-        m.pca_.total_variance = 0.0;
-        m.pca_.spectrum_moments = {0.0, 0.0, 0.0};
-        for (double v : m.pca_.eigenvalues) {
-            m.pca_.total_variance += v;
-            m.pca_.spectrum_moments[0] += v;
-            m.pca_.spectrum_moments[1] += v * v;
-            m.pca_.spectrum_moments[2] += v * v * v;
-        }
-    }
     m.finish_fit(opts);
     return m;
 }

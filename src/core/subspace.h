@@ -42,21 +42,11 @@ public:
     subspace_model() = default;
 
     /// Fit on a t x n matrix (rows = timebins). Throws via fit_pca on
-    /// degenerate input; normal_dims is clamped to n.
-    static subspace_model fit(const linalg::matrix& x,
+    /// degenerate input; normal_dims is clamped to n. `x` is taken by
+    /// value and handed on to the fit, which centers it in place: a
+    /// caller that moves its matrix in pays for no copy of it.
+    static subspace_model fit(linalg::matrix x,
                               const subspace_options& opts = {});
-
-    /// Fit from precomputed second-order moments: `cov` is the n x n
-    /// sample covariance of the (already centered) data and `mean` the
-    /// column means that were removed. This is the entry point for
-    /// streaming callers that maintain the covariance incrementally
-    /// (online_detector's rank-1 Gram updates) — it goes straight to the
-    /// eigensolver and skips re-materializing any data matrix. Throws
-    /// std::invalid_argument if cov is not square of dimension
-    /// mean.size().
-    static subspace_model fit_from_covariance(const linalg::matrix& cov,
-                                              std::vector<double> mean,
-                                              const subspace_options& opts = {});
 
     /// Squared prediction error ||x_tilde||^2 of one observation.
     double spe(std::span<const double> obs) const;

@@ -28,19 +28,22 @@ std::size_t pca_result::components_for_variance(double fraction) const {
 
 namespace {
 
-// Center (or zero-mean-stamp) the data according to opts; shared
-// validation for both fit entry points.
-matrix centered_copy(const matrix& x, const pca_options& opts,
-                     pca_result& out) {
+// Center (or zero-mean-stamp) the data in place according to opts;
+// shared validation for both fit entry points.
+void center_in_place(matrix& x, const pca_options& opts, pca_result& out) {
     if (x.rows() < 2)
         throw std::invalid_argument("fit_pca: need at least two observations");
     if (x.cols() == 0) throw std::invalid_argument("fit_pca: no columns");
-    if (opts.center) {
-        out.mean = column_means(x);
-        return center_columns(x);
+    if (!opts.center) {
+        out.mean.assign(x.cols(), 0.0);
+        return;
     }
-    out.mean.assign(x.cols(), 0.0);
-    return x;
+    out.mean = column_means(x);
+    const double* mu = out.mean.data();
+    for (std::size_t r = 0; r < x.rows(); ++r) {
+        double* xr = x.row(r).data();
+        for (std::size_t c = 0; c < x.cols(); ++c) xr[c] -= mu[c];
+    }
 }
 
 // Length of the numerically significant prefix of the (descending) Gram
@@ -121,7 +124,8 @@ void assemble_gram_axes(const matrix& xc, const std::vector<double>& values,
 
 pca_result fit_pca(const matrix& x, const pca_options& opts) {
     pca_result out;
-    matrix xc = centered_copy(x, opts, out);
+    matrix xc = x;
+    center_in_place(xc, opts, out);
 
     const std::size_t t = x.rows(), n = x.cols();
     const double denom = static_cast<double>(t - 1);
@@ -159,10 +163,9 @@ pca_result fit_pca(const matrix& x, const pca_options& opts) {
     return out;
 }
 
-pca_result fit_pca_topk(const matrix& x, std::size_t k,
-                        const pca_options& opts) {
+pca_result fit_pca_topk(matrix x, std::size_t k, const pca_options& opts) {
     pca_result out;
-    matrix xc = centered_copy(x, opts, out);
+    center_in_place(x, opts, out);
 
     const std::size_t t = x.rows(), n = x.cols();
     const double denom = static_cast<double>(t - 1);
@@ -173,15 +176,16 @@ pca_result fit_pca_topk(const matrix& x, std::size_t k,
         // of the t x t Gram are ever extracted. Its spectrum is the
         // covariance spectrum padded with n - t zeros, so the Gram's
         // full-spectrum moments ARE the covariance moments.
-        matrix g = outer_gram(xc);
+        matrix g = outer_gram(x);
         for (double& v : g.data()) v /= denom;
         partial_eigen_result pe = symmetric_eigen_topk(g, std::min(k, t));
         const std::size_t kept = significant_prefix(pe.values, t, n);
-        assemble_gram_axes(xc, pe.values, pe.vectors, kept, k, k, out);
+        assemble_gram_axes(x, pe.values, pe.vectors, kept, k, k, out);
         out.spectrum_moments = pe.moments;
     } else {
-        matrix cov = gram(xc);
+        matrix cov = gram(x);
         for (double& v : cov.data()) v /= denom;
+        x = matrix{};  // the data is spent: free it before the eigensolve
         partial_eigen_result pe = symmetric_eigen_topk(cov, k);
         out.eigenvalues = std::move(pe.values);
         for (double& v : out.eigenvalues) v = std::max(v, 0.0);

@@ -79,7 +79,9 @@ pca_result fit_pca(const matrix& x, const pca_options& opts = {});
 
 /// Fit only the leading k principal axes (the partial-spectrum path).
 ///
-/// Same centering / Gram-trick behaviour as fit_pca, but the
+/// Takes `x` by value and centers it in place, so a caller that moves
+/// its matrix in pays for no copy of it. Same centering / Gram-trick
+/// behaviour as fit_pca, but the
 /// eigendecomposition extracts just the top-k eigenpairs via bisection +
 /// inverse iteration (symmetric_eigen_topk), so the cost of the tail the
 /// subspace method throws away is never paid. The result carries exact
@@ -91,7 +93,7 @@ pca_result fit_pca(const matrix& x, const pca_options& opts = {});
 /// are ignored (a partial fit is by definition not a full basis).
 /// Falls back to the full QL solver internally when k is within a
 /// factor 2 of the eigenproblem order — the result shape is the same.
-pca_result fit_pca_topk(const matrix& x, std::size_t k,
+pca_result fit_pca_topk(matrix x, std::size_t k,
                         const pca_options& opts = {});
 
 /// Project a single observation (length = cols) onto the first m principal

@@ -26,14 +26,16 @@ std::uint64_t now_ns() {
 // reorder_window_bins held bins (and PIPE grew the quarantine
 // counters); DETC moved to v2 when the detector grew the drift
 // monitor / recalibration state block; PIPE moved to v3 when the
-// metrics block grew records_dropped_bad_od. Older versions are
-// rejected as unsupported_version rather than guessed at.
+// metrics block grew records_dropped_bad_od; DETC moved to v3 when the
+// detector stopped maintaining a Gram (the payload lost the Gram upper
+// triangle, the column sums and the exact-rebuild counter). Older
+// versions are rejected as unsupported_version rather than guessed at.
 constexpr std::uint32_t kTagPipeline = 0x45504950u;
 constexpr std::uint32_t kTagShards = 0x44524853u;
 constexpr std::uint32_t kTagDetector = 0x43544544u;
 constexpr std::uint16_t kVersionPipeline = 3;
 constexpr std::uint16_t kVersionShards = 2;
-constexpr std::uint16_t kVersionDetector = 2;
+constexpr std::uint16_t kVersionDetector = 3;
 
 /// Hard cap on the reorder ring: W held bins cost W open accumulators
 /// of memory and W bins of verdict latency; anything past this is a
@@ -448,7 +450,6 @@ std::uint64_t stream_pipeline::config_fingerprint() const {
     w.varint(o.window);
     w.varint(o.warmup);
     w.varint(o.refit_interval);
-    w.varint(o.rematerialize_every);
     w.varint(o.max_identified);
     w.varint(o.subspace.normal_dims);
     w.u8(o.subspace.center ? 1 : 0);

@@ -1,6 +1,7 @@
-// Parity tests for the online detector's incremental Gram refit: after
-// arbitrary push/evict streams, a refit from the incrementally maintained
-// moments must match a from-scratch batch refit of the same window.
+// Parity test for the online detector's refit: after arbitrary
+// push/evict streams, a refit is the batch fit of the block-normalized
+// window, so its SPE and threshold must equal a from-scratch batch refit
+// of the same window bit for bit.
 #include "core/online.h"
 
 #include <gtest/gtest.h>
@@ -37,9 +38,8 @@ entropy_snapshot snapshot_at(std::size_t bin, std::size_t flows) {
     return s;
 }
 
-// Reference: assemble the window exactly as the seed implementation did —
-// flatten rows, block-normalize to unit energy, batch-fit — and score the
-// newest row.
+// Reference: flatten the window rows, block-normalize them to unit energy
+// in unfold()'s summation order, batch-fit, and score the newest row.
 struct batch_reference {
     subspace_model model;
     double threshold = 0.0;
@@ -84,7 +84,6 @@ TEST(OnlineIncrementalTest, RefitMatchesBatchAfterEvictions) {
     opts.warmup = 40;
     opts.refit_interval = 1;  // refit every bin: compare at many states
     opts.subspace.normal_dims = 8;
-    opts.rematerialize_every = 1000000;  // force pure incremental updates
     online_detector det(flows, opts);
 
     std::deque<std::vector<double>> shadow;
@@ -101,52 +100,13 @@ TEST(OnlineIncrementalTest, RefitMatchesBatchAfterEvictions) {
 
         const auto v = det.push(s);
         if (!v.scored) continue;
-        // bin >= 100 guarantees dozens of evictions have passed through
-        // the incremental downdate path.
+        // bin >= 100 guarantees dozens of evictions have passed.
         if (bin < 100) continue;
         const auto ref = batch_refit_and_score(shadow, flows, opts.subspace,
                                                opts.alpha);
-        EXPECT_NEAR(v.spe, ref.spe_last, 1e-8 * (1.0 + ref.spe_last))
-            << "bin " << bin;
-        EXPECT_NEAR(v.threshold, ref.threshold,
-                    1e-6 * (1.0 + ref.threshold))
-            << "bin " << bin;
+        EXPECT_EQ(v.spe, ref.spe_last) << "bin " << bin;
+        EXPECT_EQ(v.threshold, ref.threshold) << "bin " << bin;
         ++compared;
     }
     EXPECT_GT(compared, 50u);
-}
-
-TEST(OnlineIncrementalTest, RematerializationIsTransparent) {
-    // Two detectors fed the same stream, one rebuilding its moments
-    // exactly on every refit and one almost never: verdicts must agree
-    // to tight tolerance (the drift the rematerialization bounds is tiny
-    // over a few hundred bins).
-    const std::size_t flows = 7;
-    online_options often;
-    often.window = 50;
-    often.warmup = 30;
-    often.refit_interval = 5;
-    often.subspace.normal_dims = 6;
-    often.rematerialize_every = 1;
-    online_options rarely = often;
-    rarely.rematerialize_every = 1000000;
-
-    online_detector a(flows, often), b(flows, rarely);
-    for (std::size_t bin = 0; bin < 300; ++bin) {
-        const auto s = snapshot_at(bin, flows);
-        const auto va = a.push(s);
-        const auto vb = b.push(s);
-        ASSERT_EQ(va.scored, vb.scored);
-        if (!va.scored) continue;
-        EXPECT_NEAR(va.spe, vb.spe, 1e-7 * (1.0 + va.spe)) << "bin " << bin;
-        EXPECT_NEAR(va.threshold, vb.threshold,
-                    1e-7 * (1.0 + va.threshold))
-            << "bin " << bin;
-    }
-}
-
-TEST(OnlineIncrementalTest, RejectsZeroRematerializePeriod) {
-    online_options opts;
-    opts.rematerialize_every = 0;
-    EXPECT_THROW(online_detector(5, opts), std::invalid_argument);
 }

@@ -175,13 +175,11 @@ TEST(OnlineSnapshotTest, ResumedDetectorIsBitIdenticalAcrossRefitsAndEvictions) 
     opts.window = 10;
     opts.warmup = 4;
     opts.refit_interval = 3;
-    opts.rematerialize_every = 2;
     opts.subspace.normal_dims = 3;
 
     // One continuous run vs. save-at-bin-14 + restore into a fresh
-    // detector. 40 bins crosses warmup, several refits, window
-    // evictions, and at least one exact rematerialization on each side
-    // of the cut.
+    // detector. 40 bins crosses warmup, several refits and window
+    // evictions on each side of the cut.
     lcg gen;
     std::vector<entropy_snapshot> feed;
     for (int i = 0; i < 40; ++i) feed.push_back(make_snapshot(flows, gen));

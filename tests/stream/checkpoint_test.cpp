@@ -308,6 +308,50 @@ TEST(CheckpointTest, CorruptTruncatedBumpedOrMismatchedSnapshotsFailDistinctly) 
     }
 }
 
+TEST(CheckpointTest, DetectorSectionV2IsRejectedAsUnsupported) {
+    // DETC v3 dropped the maintained Gram and column sums from the
+    // detector payload. A file that is intact in every other respect
+    // but carries a v2 detector section must be refused by the
+    // per-section version gate, never decoded as a v3 payload.
+    const auto topo = net::topology::abilene();
+    const traffic::background_model bg(topo);
+    const auto stream = make_stream(bg, 6);
+    const auto opts = make_opts(2);
+    stream_pipeline src(topo, opts);
+    src.push(stream);
+    const std::uint64_t fp = src.config_fingerprint();
+    io::snapshot_writer current(fp);
+    src.save_state(current);
+    const io::snapshot_reader valid(current.serialize(), fp);
+
+    constexpr std::uint32_t kDetector = 0x43544544u;  // "DETC"
+    ASSERT_EQ(valid.section_version(kDetector), 3);
+    io::snapshot_writer downgraded(fp);
+    for (const std::uint32_t tag : {0x45504950u, 0x44524853u, kDetector}) {
+        io::wire_reader r = valid.section(tag);
+        const std::uint16_t version =
+            tag == kDetector ? 2 : valid.section_version(tag);
+        downgraded.add_section(tag, version, r.bytes(r.remaining()));
+    }
+    const temp_dir dir;
+    const std::string path = (dir.path / "detc-v2.tfss").string();
+    downgraded.save_file(path);
+
+    stream_pipeline dst(topo, opts);
+    try {
+        restore_checkpoint(dst, path);
+        FAIL() << "a v2 detector section was restored";
+    } catch (const io::snapshot_error& e) {
+        EXPECT_EQ(e.code(), io::snapshot_errc::unsupported_version)
+            << e.what();
+    }
+
+    // The same payloads under the current versions restore cleanly.
+    current.save_file(path);
+    stream_pipeline ok(topo, opts);
+    EXPECT_NO_THROW(restore_checkpoint(ok, path));
+}
+
 TEST(CheckpointTest, QueueFramesIsNotPartOfTheFingerprint) {
     // A pure perf knob must not invalidate a snapshot.
     const auto topo = net::topology::abilene();
