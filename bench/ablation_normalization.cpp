@@ -74,7 +74,7 @@ int main(int argc, char** argv) {
     for (const bool normalized : {true, false}) {
         const auto m = normalized ? core::unfold(data) : unfold_raw(data);
         const auto model = core::subspace_model::fit(
-            m.h, {.normal_dims = 10, .center = true});
+            m.h, {.normal_dims = 10});
         const double thr = model.q_threshold(args.alpha);
         const double spe = model.spe(m.h.row(scan_bin));
         table.add_row({normalized ? "unit-energy (paper)" : "raw (ablated)",

@@ -28,9 +28,9 @@ int main(int argc, char** argv) {
                       "# planted detected", "detection rate"});
     for (const std::size_t dims : {1u, 2u, 5u, 8u, 10u, 12u, 16u, 24u, 48u}) {
         const auto det = core::detect_entropy_anomalies(
-            m, {.normal_dims = dims, .center = true}, args.alpha);
+            m, {.normal_dims = dims}, args.alpha);
         const auto model = core::subspace_model::fit(
-            m.h, {.normal_dims = dims, .center = true});
+            m.h, {.normal_dims = dims});
         const auto score = score_against_truth(study, det);
         table.add_row({std::to_string(dims),
                        fmt_percent(model.variance_captured(), 1),

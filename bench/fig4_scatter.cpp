@@ -50,7 +50,7 @@ int main(int argc, char** argv) {
                 study.schedule().size());
     const auto data = study.build();
 
-    const core::subspace_options sopts{.normal_dims = 10, .center = true};
+    const core::subspace_options sopts{.normal_dims = 10};
     const auto entropy = core::detect_entropy_anomalies(data, sopts, args.alpha);
     const auto volume = core::detect_volume_anomalies(data, sopts, args.alpha);
 

@@ -110,7 +110,7 @@ void bm_multiway_fit_and_detect(benchmark::State& state) {
     const auto m = core::unfold(dataset());
     for (auto _ : state) {
         auto det = core::detect_entropy_anomalies(
-            m, {.normal_dims = 10, .center = true}, 0.999);
+            m, {.normal_dims = 10}, 0.999);
         benchmark::DoNotOptimize(det.rows.spe.data());
     }
 }
@@ -130,7 +130,7 @@ void bm_multiway_fit_and_detect_large(benchmark::State& state) {
     static const auto m = core::unfold(d);
     for (auto _ : state) {
         auto det = core::detect_entropy_anomalies(
-            m, {.normal_dims = 10, .center = true}, 0.999);
+            m, {.normal_dims = 10}, 0.999);
         benchmark::DoNotOptimize(det.rows.spe.data());
     }
 }
@@ -139,7 +139,7 @@ BENCHMARK(bm_multiway_fit_and_detect_large)->Unit(benchmark::kMillisecond);
 void bm_spe_single_observation(benchmark::State& state) {
     static const auto m = core::unfold(dataset());
     static const auto model =
-        core::subspace_model::fit(m.h, {.normal_dims = 10, .center = true});
+        core::subspace_model::fit(m.h, {.normal_dims = 10});
     for (auto _ : state)
         benchmark::DoNotOptimize(model.spe(m.h.row(50)));
 }
@@ -148,7 +148,7 @@ BENCHMARK(bm_spe_single_observation);
 void bm_identification(benchmark::State& state) {
     static const auto m = core::unfold(dataset());
     static const auto model =
-        core::subspace_model::fit(m.h, {.normal_dims = 10, .center = true});
+        core::subspace_model::fit(m.h, {.normal_dims = 10});
     for (auto _ : state) {
         auto id = core::identify_flows(model, m, m.h.row(50),
                                        {.max_flows = 3, .stop_threshold = 0.0});

@@ -48,7 +48,7 @@ inline entropy_points points_from_known_types(
         [&](std::size_t b, int od) { return bg.generate(b, od); });
     auto m = core::unfold(clean);
     auto model =
-        core::subspace_model::fit(m.h, {.normal_dims = 10, .center = true});
+        core::subspace_model::fit(m.h, {.normal_dims = 10});
 
     entropy_points out;
     out.x.resize(types.size() * per_type, 4);

@@ -6,7 +6,8 @@
 // the percentage column falls from ~99% (full single-source DOS) down to
 // thousandths of a percent. Our percentage uses the simulated OD flows'
 // mean sampled rate, so absolute percentages differ from the paper's
-// (their OD flows average 2068 pkts/s sampled; see EXPERIMENTS.md).
+// (their OD flows average 2068 pkts/s sampled; the "mean OD flow rate"
+// line printed above the table gives ours).
 #include <cstdio>
 
 #include "bench/common.h"

@@ -58,7 +58,7 @@ int main(int argc, char** argv) {
 
     // 5. Detect with the multiway subspace method at 99.9%% confidence.
     const auto det = tfd::core::detect_entropy_anomalies(
-        data, {.normal_dims = 10, .center = true}, 0.999);
+        data, {.normal_dims = 10}, 0.999);
 
     std::printf("\ndetection threshold: %.3g, anomalous bins: %zu\n",
                 det.rows.threshold, det.rows.anomalous_bins.size());

@@ -84,7 +84,7 @@ struct online_options {
     std::size_t window = 576;        ///< sliding history length (bins)
     std::size_t warmup = 288;        ///< bins required before scoring
     std::size_t refit_interval = 48; ///< refit the model every R bins
-    subspace_options subspace{.normal_dims = 10, .center = true};
+    subspace_options subspace{.normal_dims = 10};
     double alpha = 0.999;
     std::size_t max_identified = 3;  ///< flows identified per detection
     /// Optional latency sink: each refit() (the eigendecomposition

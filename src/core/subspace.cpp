@@ -10,31 +10,21 @@
 
 namespace tfd::core {
 
-void subspace_model::finish_fit(const subspace_options& opts) {
-    m_ = std::min(opts.normal_dims, pca_.eigenvalues.size());
+void subspace_model::finish_fit(std::size_t normal_dims) {
+    m_ = std::min(normal_dims, pca_.eigenvalues.size());
 
-    // Residual eigenvalue moments phi_i = sum_{j>m} lambda_j^i.
-    if (pca_.partial_spectrum) {
-        // The tail eigenvalues were never materialized; subtract the
-        // leading power sums from the exact full-spectrum moments.
-        double lead[3] = {0.0, 0.0, 0.0};
-        for (std::size_t j = 0; j < m_; ++j) {
-            const double l = pca_.eigenvalues[j];
-            lead[0] += l;
-            lead[1] += l * l;
-            lead[2] += l * l * l;
-        }
-        for (int i = 0; i < 3; ++i)
-            phi_[i] = std::max(pca_.spectrum_moments[i] - lead[i], 0.0);
-    } else {
-        phi_[0] = phi_[1] = phi_[2] = 0.0;
-        for (std::size_t j = m_; j < pca_.eigenvalues.size(); ++j) {
-            const double l = pca_.eigenvalues[j];
-            phi_[0] += l;
-            phi_[1] += l * l;
-            phi_[2] += l * l * l;
-        }
+    // Residual eigenvalue moments phi_i = sum_{j>m} lambda_j^i. The
+    // tail eigenvalues were never materialized; subtract the leading
+    // power sums from the exact full-spectrum moments.
+    double lead[3] = {0.0, 0.0, 0.0};
+    for (std::size_t j = 0; j < m_; ++j) {
+        const double l = pca_.eigenvalues[j];
+        lead[0] += l;
+        lead[1] += l * l;
+        lead[2] += l * l * l;
     }
+    for (int i = 0; i < 3; ++i)
+        phi_[i] = std::max(pca_.spectrum_moments[i] - lead[i], 0.0);
     h0_ = 1.0;
     if (phi_[1] > 0.0)
         h0_ = 1.0 - 2.0 * phi_[0] * phi_[2] / (3.0 * phi_[1] * phi_[1]);
@@ -59,20 +49,8 @@ void subspace_model::rebuild_pt() {
 subspace_model subspace_model::fit(linalg::matrix x,
                                    const subspace_options& opts) {
     subspace_model m;
-    linalg::pca_options popts;
-    popts.center = opts.center;
-    // Detection only projects onto the leading normal_dims axes, so skip
-    // the orthonormal completion of the residual tail (at the unfolded
-    // widths it would dominate the whole fit).
-    popts.full_basis = false;
-    popts.min_components = opts.normal_dims;
-    // The default fit extracts only those axes (plus exact residual
-    // moments) through the partial-spectrum solver; partial_fit = false
-    // keeps the historical full-QL path for A/B parity.
-    m.pca_ = opts.partial_fit
-                 ? linalg::fit_pca_topk(std::move(x), opts.normal_dims, popts)
-                 : linalg::fit_pca(x, popts);
-    m.finish_fit(opts);
+    m.pca_ = linalg::fit_pca_topk(std::move(x), opts.normal_dims);
+    m.finish_fit(opts.normal_dims);
     return m;
 }
 

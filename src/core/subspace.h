@@ -23,16 +23,6 @@ struct subspace_options {
     /// Dimension of the normal subspace. The paper found a knee at m ~= 10
     /// capturing ~85% of variance in its datasets.
     std::size_t normal_dims = 10;
-    /// Subtract column means before PCA.
-    bool center = true;
-    /// Fit through the partial-spectrum eigensolver (top normal_dims
-    /// eigenpairs via Sturm bisection + inverse iteration; exact
-    /// residual-spectrum moments from tridiagonal trace identities).
-    /// The solver falls back to full QL on its own when normal_dims is
-    /// within a factor 2 of the eigenproblem order. Turning this off
-    /// forces the full-QL fit everywhere — the A/B escape hatch the
-    /// detection-invariance tests pin the two paths against.
-    bool partial_fit = true;
 };
 
 /// A fitted subspace model over one data matrix.
@@ -41,10 +31,13 @@ public:
     /// Empty (unfitted) model; usable only as an assignment target.
     subspace_model() = default;
 
-    /// Fit on a t x n matrix (rows = timebins). Throws via fit_pca on
-    /// degenerate input; normal_dims is clamped to n. `x` is taken by
-    /// value and handed on to the fit, which centers it in place: a
-    /// caller that moves its matrix in pays for no copy of it.
+    /// Fit on a t x n matrix (rows = timebins) through the
+    /// partial-spectrum fit (linalg::fit_pca_topk): the leading
+    /// normal_dims axes plus exact residual-spectrum moments. Throws
+    /// via fit_pca_topk on degenerate input; normal_dims is clamped to
+    /// n. `x` is taken by value and handed on to the fit, which centers
+    /// it in place: a caller that moves its matrix in pays for no copy
+    /// of it.
     static subspace_model fit(linalg::matrix x,
                               const subspace_options& opts = {});
 
@@ -90,7 +83,7 @@ public:
     void load(io::wire_reader& r);
 
 private:
-    void finish_fit(const subspace_options& opts);
+    void finish_fit(std::size_t normal_dims);
     void rebuild_pt();
 
     linalg::pca_result pca_;

@@ -35,7 +35,7 @@ struct injection_options {
     /// so the bin is unambiguously ordinary under every model.
     static constexpr std::size_t auto_bin = static_cast<std::size_t>(-1);
     std::size_t inject_bin = auto_bin;
-    core::subspace_options subspace{.normal_dims = 10, .center = true};
+    core::subspace_options subspace{.normal_dims = 10};
     unsigned threads = 0;
 };
 

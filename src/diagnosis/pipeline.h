@@ -18,7 +18,7 @@ namespace tfd::diagnosis {
 
 /// Knobs for a diagnosis run.
 struct diagnosis_options {
-    core::subspace_options subspace{.normal_dims = 10, .center = true};
+    core::subspace_options subspace{.normal_dims = 10};
     double alpha = 0.999;  ///< detection confidence (paper: 0.995 / 0.999)
     unsigned threads = 0;  ///< dataset build parallelism (0 = auto)
 };

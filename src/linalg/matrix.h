@@ -7,7 +7,7 @@
 // Kernel strategy: multiply / gram / outer_gram are cache-blocked and
 // parallelized over fixed-size row (or output-row) blocks on the shared
 // thread pool (linalg/parallel.h), with the inner loops dispatched to
-// the runtime-selected SIMD micro-kernels (linalg/simd.h). Block
+// the runtime-selected SIMD tier, scalar or fma256 (linalg/simd.h). Block
 // boundaries and the per-element reduction order are independent of the
 // worker count — multiply sums k ascending, gram sums observation rows
 // ascending, outer_gram dots left to right — so under the scalar ISA

@@ -8,15 +8,15 @@
 // caller's loop runs serially in index order, so results are identical
 // whether the pool has 1 thread or 64 — only wall-clock changes.
 //
-// How this composes with the SIMD micro-kernels (linalg/simd.h): the
+// How this composes with the two SIMD tiers (linalg/simd.h): the
 // blocked kernels keep one fixed per-element reduction order regardless
 // of worker count AND regardless of ISA. Three levels of "same result"
 // follow:
 //   1. Same machine, same ISA: bit-identical run to run, any thread
 //      count. This is the invariant the parity tests pin.
-//   2. Scalar ISA anywhere (TFD_NO_FMA=1, or a CPU without AVX2+FMA):
-//      bit-identical to the naive reference kernels and to every
-//      pre-SIMD release — the historical contract, still available.
+//   2. Scalar ISA anywhere (a CPU without AVX2+FMA, or
+//      force_kernel_isa(kernel_isa::scalar)): bit-identical to the
+//      naive reference kernels and to every pre-SIMD release.
 //   3. fma256 vs scalar: the same reduction order evaluated with fused
 //      multiply-adds; parity with the scalar reference is tolerance-
 //      level (contraction changes rounding, never ordering). Kernels

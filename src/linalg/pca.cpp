@@ -28,16 +28,12 @@ std::size_t pca_result::components_for_variance(double fraction) const {
 
 namespace {
 
-// Center (or zero-mean-stamp) the data in place according to opts;
-// shared validation for both fit entry points.
-void center_in_place(matrix& x, const pca_options& opts, pca_result& out) {
+// Center the data in place, recording the means; shared validation for
+// both fit entry points.
+void center_in_place(matrix& x, pca_result& out) {
     if (x.rows() < 2)
         throw std::invalid_argument("fit_pca: need at least two observations");
     if (x.cols() == 0) throw std::invalid_argument("fit_pca: no columns");
-    if (!opts.center) {
-        out.mean.assign(x.cols(), 0.0);
-        return;
-    }
     out.mean = column_means(x);
     const double* mu = out.mean.data();
     for (std::size_t r = 0; r < x.rows(); ++r) {
@@ -64,13 +60,12 @@ std::size_t significant_prefix(const std::vector<double>& values,
 // `kept` Gram eigenpairs as one blocked matrix product, then complete
 // orthonormally past the data's rank up to `target` columns via
 // Gram-Schmidt over canonical start vectors. out.eigenvalues is padded
-// to `eigen_len` (n for a full fit, target for a partial one).
+// to `target` (n for a full fit, k for a partial one).
 void assemble_gram_axes(const matrix& xc, const std::vector<double>& values,
                         const matrix& u_cols, std::size_t kept,
-                        std::size_t target, std::size_t eigen_len,
-                        pca_result& out) {
+                        std::size_t target, pca_result& out) {
     const std::size_t t = xc.rows(), n = xc.cols();
-    out.eigenvalues.assign(eigen_len, 0.0);
+    out.eigenvalues.assign(target, 0.0);
     // Assemble the basis transposed (one row per axis) so both the
     // normalization and the Gram-Schmidt completion below run on
     // unit-stride rows; transpose once at the end.
@@ -98,8 +93,7 @@ void assemble_gram_axes(const matrix& xc, const std::vector<double>& values,
     // against already-filled axes, starting from canonical vectors.
     // The residual subspace projector only needs an orthonormal
     // complement; exact choice is irrelevant. Only runs up to `target`
-    // axes: hot callers that never read past the leading axes pass a
-    // small target and skip (most of) this entirely.
+    // axes, so a partial fit skips (most of) this entirely.
     std::vector<double> v(n);
     std::size_t next_canon = 0;
     while (filled < target && next_canon < n) {
@@ -122,15 +116,15 @@ void assemble_gram_axes(const matrix& xc, const std::vector<double>& values,
 
 }  // namespace
 
-pca_result fit_pca(const matrix& x, const pca_options& opts) {
+pca_result fit_pca(const matrix& x) {
     pca_result out;
     matrix xc = x;
-    center_in_place(xc, opts, out);
+    center_in_place(xc, out);
 
     const std::size_t t = x.rows(), n = x.cols();
     const double denom = static_cast<double>(t - 1);
 
-    if (opts.allow_gram_trick && t < n) {
+    if (t < n) {
         // Gram trick: eigen of (1/(t-1)) Xc Xc^T gives the nonzero spectrum;
         // feature-space axes are recovered as v = Xc^T u / ||Xc^T u||.
         matrix g = outer_gram(xc);
@@ -138,11 +132,7 @@ pca_result fit_pca(const matrix& x, const pca_options& opts) {
         eigen_result eg = symmetric_eigen(g);
 
         const std::size_t kept = significant_prefix(eg.values, t, n);
-        const std::size_t target =
-            opts.full_basis
-                ? n
-                : std::min(n, std::max(kept, opts.min_components));
-        assemble_gram_axes(xc, eg.values, eg.vectors, kept, target, n, out);
+        assemble_gram_axes(xc, eg.values, eg.vectors, kept, n, out);
     } else {
         matrix cov = gram(xc);
         for (double& v : cov.data()) v /= denom;
@@ -163,15 +153,15 @@ pca_result fit_pca(const matrix& x, const pca_options& opts) {
     return out;
 }
 
-pca_result fit_pca_topk(matrix x, std::size_t k, const pca_options& opts) {
+pca_result fit_pca_topk(matrix x, std::size_t k) {
     pca_result out;
-    center_in_place(x, opts, out);
+    center_in_place(x, out);
 
     const std::size_t t = x.rows(), n = x.cols();
     const double denom = static_cast<double>(t - 1);
     k = std::min(std::max<std::size_t>(k, 1), n);
 
-    if (opts.allow_gram_trick && t < n) {
+    if (t < n) {
         // Same Gram trick as the full fit, but only the top-k eigenpairs
         // of the t x t Gram are ever extracted. Its spectrum is the
         // covariance spectrum padded with n - t zeros, so the Gram's
@@ -180,7 +170,7 @@ pca_result fit_pca_topk(matrix x, std::size_t k, const pca_options& opts) {
         for (double& v : g.data()) v /= denom;
         partial_eigen_result pe = symmetric_eigen_topk(g, std::min(k, t));
         const std::size_t kept = significant_prefix(pe.values, t, n);
-        assemble_gram_axes(x, pe.values, pe.vectors, kept, k, k, out);
+        assemble_gram_axes(x, pe.values, pe.vectors, kept, k, out);
         out.spectrum_moments = pe.moments;
     } else {
         matrix cov = gram(x);
@@ -243,22 +233,12 @@ std::vector<double> residual(const pca_result& p, std::span<const double> x,
 
 double squared_prediction_error(const pca_result& p, std::span<const double> x,
                                 std::size_t m) {
-    std::vector<double> scratch;
-    return squared_prediction_error(p, x, m, scratch);
-}
-
-double squared_prediction_error(const pca_result& p, std::span<const double> x,
-                                std::size_t m, std::vector<double>& scratch) {
     require_dim(p, x);
     const std::size_t n = x.size();
     m = std::min(m, p.components.cols());
-    // scratch holds the centered observation followed by the m scores.
-    scratch.resize(n + m);
-    double* centered = scratch.data();
-    double* scores = scratch.data() + n;
+    std::vector<double> centered(n), scores(m, 0.0);
     for (std::size_t i = 0; i < n; ++i) centered[i] = x[i] - p.mean[i];
-    const double ssq = dot({centered, n}, {centered, n});
-    for (std::size_t j = 0; j < m; ++j) scores[j] = 0.0;
+    const double ssq = dot(centered, centered);
     // One row-major streaming pass over the leading m columns; each
     // score_j accumulates <x_c, v_j> in ascending row order.
     for (std::size_t i = 0; i < n; ++i) {

@@ -16,8 +16,7 @@ namespace tfd::linalg {
 
 /// Fitted PCA model.
 struct pca_result {
-    /// Per-column means that were removed before fitting (all zero when
-    /// centering was disabled).
+    /// Per-column means that were removed before fitting.
     std::vector<double> mean;
     /// Covariance eigenvalues, descending. Length = number of columns
     /// for fit_pca; for fit_pca_topk only the leading k are present
@@ -25,11 +24,8 @@ struct pca_result {
     /// `spectrum_moments`).
     std::vector<double> eigenvalues;
     /// Matrix with orthonormal columns; column j is the j-th principal
-    /// axis. cols x cols when pca_options::full_basis (the default);
-    /// with full_basis off it may have fewer columns (at least the
-    /// numerical rank, and at least min_components) — enough for any
-    /// projection onto the leading axes, without paying for an
-    /// orthonormal completion of the residual tail nobody reads.
+    /// axis. cols x cols for fit_pca; cols x min(k, cols) for
+    /// fit_pca_topk.
     matrix components;
     /// Sum of all eigenvalues (= total variance).
     double total_variance = 0.0;
@@ -52,30 +48,15 @@ struct pca_result {
     std::size_t components_for_variance(double fraction) const;
 };
 
-/// Options controlling the PCA fit.
-struct pca_options {
-    /// Subtract column means first (the subspace method centers its data).
-    bool center = true;
-    /// If true and rows < cols, use the Gram trick (eigen of X X^T) which
-    /// is much cheaper for wide matrices; results are identical up to the
-    /// rank of the data.
-    bool allow_gram_trick = true;
-    /// Materialize a full cols x cols orthonormal basis, Gram-Schmidt-
-    /// completing past the data's rank. Detection only ever projects onto
-    /// the leading axes, so hot callers (subspace_model) turn this off —
-    /// at the unfolded Abilene width the completion is the single most
-    /// expensive part of a fit.
-    bool full_basis = true;
-    /// With full_basis off: guarantee at least this many component
-    /// columns anyway (clamped to cols), completing orthonormally past
-    /// the rank if the data is too degenerate to supply them.
-    std::size_t min_components = 0;
-};
-
-/// Fit PCA on data matrix `x` (rows = observations, columns = variables).
+/// Fit PCA on data matrix `x` (rows = observations, columns = variables):
+/// subtract the column means, then eigendecompose the covariance — or,
+/// when rows < cols, the rows x rows Gram of the centered data (the
+/// "Gram trick": same nonzero spectrum, much cheaper for wide
+/// matrices), recovering feature-space axes from its eigenvectors and
+/// completing the basis orthonormally past the data's rank.
 ///
 /// Throws std::invalid_argument if x has fewer than 2 rows or no columns.
-pca_result fit_pca(const matrix& x, const pca_options& opts = {});
+pca_result fit_pca(const matrix& x);
 
 /// Fit only the leading k principal axes (the partial-spectrum path).
 ///
@@ -88,13 +69,10 @@ pca_result fit_pca(const matrix& x, const pca_options& opts = {});
 /// full-spectrum power sums (`spectrum_moments`) and has
 /// `partial_spectrum` set; `components` has exactly min(k, cols) columns
 /// (orthonormally completed past the data's rank if the input is too
-/// degenerate to supply them, mirroring min_components semantics).
-/// k is clamped to [1, cols]; opts.full_basis and opts.min_components
-/// are ignored (a partial fit is by definition not a full basis).
+/// degenerate to supply them). k is clamped to [1, cols].
 /// Falls back to the full QL solver internally when k is within a
 /// factor 2 of the eigenproblem order — the result shape is the same.
-pca_result fit_pca_topk(matrix x, std::size_t k,
-                        const pca_options& opts = {});
+pca_result fit_pca_topk(matrix x, std::size_t k);
 
 /// Project a single observation (length = cols) onto the first m principal
 /// axes and reconstruct it in the original space: the "modelled" part
@@ -109,8 +87,9 @@ std::vector<double> residual(const pca_result& p, std::span<const double> x,
 /// Fast-SPE cancellation guard: the identity formula below loses all
 /// significance when the observation lies (numerically) inside the
 /// normal subspace, so results under guard * ||x_c||^2 are recomputed by
-/// explicit residual reconstruction. Shared by every SPE path (batch,
-/// scratch, and subspace_model's streaming copy) so they stay in sync.
+/// explicit residual reconstruction. Shared by every SPE path (single
+/// observation, batch, and subspace_model's streaming copy) so they
+/// stay in sync.
 inline constexpr double spe_cancellation_guard = 1e-10;
 
 /// SPE by explicit residual reconstruction (exact in the near-zero
@@ -126,12 +105,6 @@ double squared_prediction_error_by_reconstruction(const pca_result& p,
 /// cancellation-guard fallback above.
 double squared_prediction_error(const pca_result& p, std::span<const double> x,
                                 std::size_t m);
-
-/// Allocation-free SPE for streaming callers: `scratch` is resized to
-/// observation length + m (centered copy followed by the scores) on
-/// first use and reused across calls.
-double squared_prediction_error(const pca_result& p, std::span<const double> x,
-                                std::size_t m, std::vector<double>& scratch);
 
 /// SPE of every row of `x` (rows = observations), evaluated as a batch:
 /// one centered copy, one blocked matrix product against the leading m

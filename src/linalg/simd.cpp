@@ -1,7 +1,5 @@
 #include "linalg/simd.h"
 
-#include <cstdlib>
-
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #define TFD_SIMD_X86 1
 #include <immintrin.h>
@@ -19,27 +17,8 @@ bool cpu_supports_fma256() noexcept {
 #endif
 }
 
-bool cpu_supports_avx512() noexcept {
-#ifdef TFD_SIMD_X86
-    return __builtin_cpu_supports("avx512f");
-#else
-    return false;
-#endif
-}
-
-bool env_set(const char* name) noexcept {
-    const char* env = std::getenv(name);
-    return env && env[0] != '\0' && env[0] != '0';
-}
-
-kernel_isa detect_isa() noexcept {
-    if (env_set("TFD_NO_FMA")) return kernel_isa::scalar;
-    if (cpu_supports_avx512() && !env_set("TFD_NO_AVX512"))
-        return kernel_isa::avx512;
-    return cpu_supports_fma256() ? kernel_isa::fma256 : kernel_isa::scalar;
-}
-
-kernel_isa g_isa = detect_isa();
+kernel_isa g_isa =
+    cpu_supports_fma256() ? kernel_isa::fma256 : kernel_isa::scalar;
 
 // ---------------------------------------------------------------------
 // Scalar bodies: these reproduce the pre-SIMD loops bit-for-bit.
@@ -304,234 +283,6 @@ void gemm_row_update_fma(double* c, const double* a, std::size_t a_stride,
 
 #undef TFD_TARGET_FMA
 
-// ---------------------------------------------------------------------
-// avx512 bodies: 512-bit lanes (8 doubles), fused multiply-adds, and a
-// single masked lane folding each remainder — no scalar tail loops, so
-// the vector/remainder summation split depends only on the length.
-
-#define TFD_TARGET_AVX512 __attribute__((target("avx512f")))
-
-// Mask selecting the low `rem` (< 8) doubles of a zmm lane.
-TFD_TARGET_AVX512
-inline __mmask8 tail_mask(std::size_t rem) noexcept {
-    return static_cast<__mmask8>((1u << rem) - 1u);
-}
-
-TFD_TARGET_AVX512
-double dot_avx512(const double* x, const double* y, std::size_t n) noexcept {
-    __m512d a0 = _mm512_setzero_pd(), a1 = _mm512_setzero_pd();
-    __m512d a2 = _mm512_setzero_pd(), a3 = _mm512_setzero_pd();
-    __m512d a4 = _mm512_setzero_pd(), a5 = _mm512_setzero_pd();
-    __m512d a6 = _mm512_setzero_pd(), a7 = _mm512_setzero_pd();
-    std::size_t i = 0;
-    for (; i + 64 <= n; i += 64) {
-        a0 = _mm512_fmadd_pd(_mm512_loadu_pd(x + i), _mm512_loadu_pd(y + i), a0);
-        a1 = _mm512_fmadd_pd(_mm512_loadu_pd(x + i + 8),
-                             _mm512_loadu_pd(y + i + 8), a1);
-        a2 = _mm512_fmadd_pd(_mm512_loadu_pd(x + i + 16),
-                             _mm512_loadu_pd(y + i + 16), a2);
-        a3 = _mm512_fmadd_pd(_mm512_loadu_pd(x + i + 24),
-                             _mm512_loadu_pd(y + i + 24), a3);
-        a4 = _mm512_fmadd_pd(_mm512_loadu_pd(x + i + 32),
-                             _mm512_loadu_pd(y + i + 32), a4);
-        a5 = _mm512_fmadd_pd(_mm512_loadu_pd(x + i + 40),
-                             _mm512_loadu_pd(y + i + 40), a5);
-        a6 = _mm512_fmadd_pd(_mm512_loadu_pd(x + i + 48),
-                             _mm512_loadu_pd(y + i + 48), a6);
-        a7 = _mm512_fmadd_pd(_mm512_loadu_pd(x + i + 56),
-                             _mm512_loadu_pd(y + i + 56), a7);
-    }
-    for (; i + 8 <= n; i += 8)
-        a0 = _mm512_fmadd_pd(_mm512_loadu_pd(x + i), _mm512_loadu_pd(y + i), a0);
-    if (i < n) {
-        const __mmask8 m = tail_mask(n - i);
-        a1 = _mm512_fmadd_pd(_mm512_maskz_loadu_pd(m, x + i),
-                             _mm512_maskz_loadu_pd(m, y + i), a1);
-    }
-    const __m512d v = _mm512_add_pd(_mm512_add_pd(a0, a1),
-                                    _mm512_add_pd(a2, a3));
-    const __m512d w = _mm512_add_pd(_mm512_add_pd(a4, a5),
-                                    _mm512_add_pd(a6, a7));
-    return _mm512_reduce_add_pd(_mm512_add_pd(v, w));
-}
-
-TFD_TARGET_AVX512
-void axpy_avx512(double* dst, const double* x, double a,
-                 std::size_t n) noexcept {
-    const __m512d av = _mm512_set1_pd(a);
-    std::size_t i = 0;
-    for (; i + 16 <= n; i += 16) {
-        _mm512_storeu_pd(
-            dst + i,
-            _mm512_fmadd_pd(av, _mm512_loadu_pd(x + i), _mm512_loadu_pd(dst + i)));
-        _mm512_storeu_pd(dst + i + 8,
-                         _mm512_fmadd_pd(av, _mm512_loadu_pd(x + i + 8),
-                                         _mm512_loadu_pd(dst + i + 8)));
-    }
-    for (; i + 8 <= n; i += 8)
-        _mm512_storeu_pd(
-            dst + i,
-            _mm512_fmadd_pd(av, _mm512_loadu_pd(x + i), _mm512_loadu_pd(dst + i)));
-    if (i < n) {
-        const __mmask8 m = tail_mask(n - i);
-        _mm512_mask_storeu_pd(
-            dst + i, m,
-            _mm512_fmadd_pd(av, _mm512_maskz_loadu_pd(m, x + i),
-                            _mm512_maskz_loadu_pd(m, dst + i)));
-    }
-}
-
-TFD_TARGET_AVX512
-void axpy2_sub_avx512(double* dst, const double* x, double a, const double* y,
-                      double b, std::size_t n) noexcept {
-    const __m512d av = _mm512_set1_pd(a);
-    const __m512d bv = _mm512_set1_pd(b);
-    std::size_t i = 0;
-    for (; i + 8 <= n; i += 8) {
-        __m512d d = _mm512_loadu_pd(dst + i);
-        d = _mm512_fnmadd_pd(av, _mm512_loadu_pd(x + i), d);
-        d = _mm512_fnmadd_pd(bv, _mm512_loadu_pd(y + i), d);
-        _mm512_storeu_pd(dst + i, d);
-    }
-    if (i < n) {
-        const __mmask8 m = tail_mask(n - i);
-        __m512d d = _mm512_maskz_loadu_pd(m, dst + i);
-        d = _mm512_fnmadd_pd(av, _mm512_maskz_loadu_pd(m, x + i), d);
-        d = _mm512_fnmadd_pd(bv, _mm512_maskz_loadu_pd(m, y + i), d);
-        _mm512_mask_storeu_pd(dst + i, m, d);
-    }
-}
-
-TFD_TARGET_AVX512
-void rot_avx512(double* x, double* y, double c, double s,
-                std::size_t n) noexcept {
-    const __m512d cv = _mm512_set1_pd(c);
-    const __m512d sv = _mm512_set1_pd(s);
-    std::size_t i = 0;
-    for (; i + 8 <= n; i += 8) {
-        const __m512d xv = _mm512_loadu_pd(x + i);
-        const __m512d yv = _mm512_loadu_pd(y + i);
-        _mm512_storeu_pd(y + i,
-                         _mm512_fmadd_pd(sv, xv, _mm512_mul_pd(cv, yv)));
-        _mm512_storeu_pd(x + i,
-                         _mm512_fnmadd_pd(sv, yv, _mm512_mul_pd(cv, xv)));
-    }
-    if (i < n) {
-        const __mmask8 m = tail_mask(n - i);
-        const __m512d xv = _mm512_maskz_loadu_pd(m, x + i);
-        const __m512d yv = _mm512_maskz_loadu_pd(m, y + i);
-        _mm512_mask_storeu_pd(y + i, m,
-                              _mm512_fmadd_pd(sv, xv, _mm512_mul_pd(cv, yv)));
-        _mm512_mask_storeu_pd(x + i, m,
-                              _mm512_fnmadd_pd(sv, yv, _mm512_mul_pd(cv, xv)));
-    }
-}
-
-TFD_TARGET_AVX512
-double axpy_dot_avx512(double* dst, const double* z, double a,
-                       const double* u, std::size_t n) noexcept {
-    const __m512d av = _mm512_set1_pd(a);
-    __m512d a0 = _mm512_setzero_pd(), a1 = _mm512_setzero_pd();
-    __m512d a2 = _mm512_setzero_pd(), a3 = _mm512_setzero_pd();
-    std::size_t i = 0;
-    for (; i + 32 <= n; i += 32) {
-        const __m512d z0 = _mm512_loadu_pd(z + i);
-        const __m512d z1 = _mm512_loadu_pd(z + i + 8);
-        const __m512d z2 = _mm512_loadu_pd(z + i + 16);
-        const __m512d z3 = _mm512_loadu_pd(z + i + 24);
-        a0 = _mm512_fmadd_pd(z0, _mm512_loadu_pd(u + i), a0);
-        a1 = _mm512_fmadd_pd(z1, _mm512_loadu_pd(u + i + 8), a1);
-        a2 = _mm512_fmadd_pd(z2, _mm512_loadu_pd(u + i + 16), a2);
-        a3 = _mm512_fmadd_pd(z3, _mm512_loadu_pd(u + i + 24), a3);
-        _mm512_storeu_pd(
-            dst + i, _mm512_fmadd_pd(av, z0, _mm512_loadu_pd(dst + i)));
-        _mm512_storeu_pd(
-            dst + i + 8,
-            _mm512_fmadd_pd(av, z1, _mm512_loadu_pd(dst + i + 8)));
-        _mm512_storeu_pd(
-            dst + i + 16,
-            _mm512_fmadd_pd(av, z2, _mm512_loadu_pd(dst + i + 16)));
-        _mm512_storeu_pd(
-            dst + i + 24,
-            _mm512_fmadd_pd(av, z3, _mm512_loadu_pd(dst + i + 24)));
-    }
-    for (; i + 8 <= n; i += 8) {
-        const __m512d z0 = _mm512_loadu_pd(z + i);
-        a0 = _mm512_fmadd_pd(z0, _mm512_loadu_pd(u + i), a0);
-        _mm512_storeu_pd(
-            dst + i, _mm512_fmadd_pd(av, z0, _mm512_loadu_pd(dst + i)));
-    }
-    if (i < n) {
-        const __mmask8 m = tail_mask(n - i);
-        const __m512d z0 = _mm512_maskz_loadu_pd(m, z + i);
-        a0 = _mm512_fmadd_pd(z0, _mm512_maskz_loadu_pd(m, u + i), a0);
-        _mm512_mask_storeu_pd(
-            dst + i, m,
-            _mm512_fmadd_pd(av, z0, _mm512_maskz_loadu_pd(m, dst + i)));
-    }
-    a0 = _mm512_add_pd(_mm512_add_pd(a0, a1), _mm512_add_pd(a2, a3));
-    return _mm512_reduce_add_pd(a0);
-}
-
-// 64 doubles of the output row live in 8 zmm registers across the whole
-// depth tile; the remainder runs one zmm at a time with the last lane
-// masked. The per-element reduction still ascends in t everywhere.
-TFD_TARGET_AVX512
-void gemm_row_update_avx512(double* c, const double* a, std::size_t a_stride,
-                            const double* b, std::size_t b_stride,
-                            std::size_t depth, std::size_t width) noexcept {
-    std::size_t j = 0;
-    for (; j + 64 <= width; j += 64) {
-        double* cj = c + j;
-        __m512d r0 = _mm512_loadu_pd(cj);
-        __m512d r1 = _mm512_loadu_pd(cj + 8);
-        __m512d r2 = _mm512_loadu_pd(cj + 16);
-        __m512d r3 = _mm512_loadu_pd(cj + 24);
-        __m512d r4 = _mm512_loadu_pd(cj + 32);
-        __m512d r5 = _mm512_loadu_pd(cj + 40);
-        __m512d r6 = _mm512_loadu_pd(cj + 48);
-        __m512d r7 = _mm512_loadu_pd(cj + 56);
-        for (std::size_t t = 0; t < depth; ++t) {
-            const __m512d at = _mm512_set1_pd(a[t * a_stride]);
-            const double* bt = b + t * b_stride + j;
-            r0 = _mm512_fmadd_pd(at, _mm512_loadu_pd(bt), r0);
-            r1 = _mm512_fmadd_pd(at, _mm512_loadu_pd(bt + 8), r1);
-            r2 = _mm512_fmadd_pd(at, _mm512_loadu_pd(bt + 16), r2);
-            r3 = _mm512_fmadd_pd(at, _mm512_loadu_pd(bt + 24), r3);
-            r4 = _mm512_fmadd_pd(at, _mm512_loadu_pd(bt + 32), r4);
-            r5 = _mm512_fmadd_pd(at, _mm512_loadu_pd(bt + 40), r5);
-            r6 = _mm512_fmadd_pd(at, _mm512_loadu_pd(bt + 48), r6);
-            r7 = _mm512_fmadd_pd(at, _mm512_loadu_pd(bt + 56), r7);
-        }
-        _mm512_storeu_pd(cj, r0);
-        _mm512_storeu_pd(cj + 8, r1);
-        _mm512_storeu_pd(cj + 16, r2);
-        _mm512_storeu_pd(cj + 24, r3);
-        _mm512_storeu_pd(cj + 32, r4);
-        _mm512_storeu_pd(cj + 40, r5);
-        _mm512_storeu_pd(cj + 48, r6);
-        _mm512_storeu_pd(cj + 56, r7);
-    }
-    for (; j + 8 <= width; j += 8) {
-        __m512d r0 = _mm512_loadu_pd(c + j);
-        for (std::size_t t = 0; t < depth; ++t)
-            r0 = _mm512_fmadd_pd(_mm512_set1_pd(a[t * a_stride]),
-                                 _mm512_loadu_pd(b + t * b_stride + j), r0);
-        _mm512_storeu_pd(c + j, r0);
-    }
-    if (j < width) {
-        const __mmask8 m = tail_mask(width - j);
-        __m512d r0 = _mm512_maskz_loadu_pd(m, c + j);
-        for (std::size_t t = 0; t < depth; ++t)
-            r0 = _mm512_fmadd_pd(
-                _mm512_set1_pd(a[t * a_stride]),
-                _mm512_maskz_loadu_pd(m, b + t * b_stride + j), r0);
-        _mm512_mask_storeu_pd(c + j, m, r0);
-    }
-}
-
-#undef TFD_TARGET_AVX512
-
 #endif  // TFD_SIMD_X86
 
 }  // namespace
@@ -540,7 +291,6 @@ kernel_isa active_kernel_isa() noexcept { return g_isa; }
 
 bool force_kernel_isa(kernel_isa isa) noexcept {
     if (isa == kernel_isa::fma256 && !cpu_supports_fma256()) return false;
-    if (isa == kernel_isa::avx512 && !cpu_supports_avx512()) return false;
     g_isa = isa;
     return true;
 }
@@ -549,7 +299,6 @@ const char* kernel_isa_name(kernel_isa isa) noexcept {
     switch (isa) {
         case kernel_isa::scalar: return "scalar";
         case kernel_isa::fma256: return "fma256";
-        case kernel_isa::avx512: return "avx512";
     }
     return "unknown";
 }
@@ -558,7 +307,6 @@ namespace simd {
 
 double dot(const double* x, const double* y, std::size_t n) noexcept {
 #ifdef TFD_SIMD_X86
-    if (g_isa == kernel_isa::avx512) return dot_avx512(x, y, n);
     if (g_isa == kernel_isa::fma256) return dot_fma(x, y, n);
 #endif
     return dot_scalar(x, y, n);
@@ -566,7 +314,6 @@ double dot(const double* x, const double* y, std::size_t n) noexcept {
 
 void axpy(double* dst, const double* x, double a, std::size_t n) noexcept {
 #ifdef TFD_SIMD_X86
-    if (g_isa == kernel_isa::avx512) return axpy_avx512(dst, x, a, n);
     if (g_isa == kernel_isa::fma256) return axpy_fma(dst, x, a, n);
 #endif
     axpy_scalar(dst, x, a, n);
@@ -575,8 +322,6 @@ void axpy(double* dst, const double* x, double a, std::size_t n) noexcept {
 void axpy2_sub(double* dst, const double* x, double a, const double* y,
                double b, std::size_t n) noexcept {
 #ifdef TFD_SIMD_X86
-    if (g_isa == kernel_isa::avx512)
-        return axpy2_sub_avx512(dst, x, a, y, b, n);
     if (g_isa == kernel_isa::fma256) return axpy2_sub_fma(dst, x, a, y, b, n);
 #endif
     axpy2_sub_scalar(dst, x, a, y, b, n);
@@ -584,7 +329,6 @@ void axpy2_sub(double* dst, const double* x, double a, const double* y,
 
 void rot(double* x, double* y, double c, double s, std::size_t n) noexcept {
 #ifdef TFD_SIMD_X86
-    if (g_isa == kernel_isa::avx512) return rot_avx512(x, y, c, s, n);
     if (g_isa == kernel_isa::fma256) return rot_fma(x, y, c, s, n);
 #endif
     rot_scalar(x, y, c, s, n);
@@ -593,7 +337,6 @@ void rot(double* x, double* y, double c, double s, std::size_t n) noexcept {
 double axpy_dot(double* dst, const double* z, double a, const double* u,
                 std::size_t n) noexcept {
 #ifdef TFD_SIMD_X86
-    if (g_isa == kernel_isa::avx512) return axpy_dot_avx512(dst, z, a, u, n);
     if (g_isa == kernel_isa::fma256) return axpy_dot_fma(dst, z, a, u, n);
 #endif
     return axpy_dot_scalar(dst, z, a, u, n);
@@ -603,9 +346,6 @@ void gemm_row_update(double* c, const double* a, std::size_t a_stride,
                      const double* b, std::size_t b_stride, std::size_t depth,
                      std::size_t width) noexcept {
 #ifdef TFD_SIMD_X86
-    if (g_isa == kernel_isa::avx512)
-        return gemm_row_update_avx512(c, a, a_stride, b, b_stride, depth,
-                                      width);
     if (g_isa == kernel_isa::fma256)
         return gemm_row_update_fma(c, a, a_stride, b, b_stride, depth, width);
 #endif

@@ -1,34 +1,27 @@
 // tfd::linalg — runtime-dispatched SIMD micro-kernels for the dense
 // hot loops.
 //
-// Every helper here has three implementations selected once at process
+// Every helper here has two implementations, selected once at process
 // start (and overridable for tests):
 //
 //   scalar  — plain C++ loops that reproduce the historical kernels
 //             bit-for-bit (the 4-accumulator dot, the axpy/rotation
 //             loops of tred2/QL, the k-ascending GEMM row update).
+//             Runs on any CPU without AVX2+FMA.
 //   fma256  — AVX2 + FMA bodies compiled via per-function target
 //             attributes, so the binary stays runnable on baseline
 //             x86-64 and the fast path lights up automatically on
 //             machines whose CPU reports AVX2+FMA (no -march flags
-//             needed; the bench-native preset merely lets the compiler
-//             also auto-vectorize everything else).
-//   avx512  — 512-bit bodies (8 doubles per lane) with masked
-//             remainders, selected on CPUs reporting avx512f. Same
-//             per-function-target-attribute scheme: the bodies compile
-//             into every binary and are only ever *called* after the
-//             runtime CPU check.
+//             needed).
 //
-// Determinism: all ISAs use a fixed, input-length-dependent summation
+// Determinism: both ISAs use a fixed, input-length-dependent summation
 // order, so results are reproducible run-to-run on the same machine.
-// The fma256/avx512 bodies fuse multiply-adds (and widen the reduction
-// to 8 vector accumulators where noted), which changes *rounding*
-// relative to the scalar bodies — parity across tiers is
-// tolerance-level, not bit-level. Force the scalar ISA (TFD_NO_FMA=1
-// or force_kernel_isa) to reproduce pre-SIMD results exactly;
-// TFD_NO_AVX512=1 caps dispatch at fma256 on avx512f hardware. See
-// linalg/parallel.h for how this composes with the blocked-kernel
-// determinism contract.
+// The fma256 bodies fuse multiply-adds (and widen the reduction to 8
+// vector accumulators where noted), which changes *rounding* relative
+// to the scalar bodies — parity across tiers is tolerance-level, not
+// bit-level. force_kernel_isa(kernel_isa::scalar) reproduces pre-SIMD
+// results exactly. See linalg/parallel.h for how this composes with the
+// blocked-kernel determinism contract.
 #pragma once
 
 #include <cstddef>
@@ -39,13 +32,10 @@ namespace tfd::linalg {
 enum class kernel_isa {
     scalar,  ///< portable loops, bit-identical to the historical kernels
     fma256,  ///< AVX2+FMA bodies (8-accumulator tiling where applicable)
-    avx512,  ///< AVX-512F bodies, 512-bit lanes with masked remainders
 };
 
-/// The ISA selected for this process: the widest of
-/// {scalar, fma256, avx512} the CPU supports, capped by the override
-/// environment variables (TFD_NO_FMA=1 forces scalar, TFD_NO_AVX512=1
-/// caps at fma256).
+/// The ISA selected for this process: fma256 when the CPU reports
+/// AVX2+FMA, scalar otherwise.
 kernel_isa active_kernel_isa() noexcept;
 
 /// Test hook: force an ISA. Returns false (and changes nothing) if the
@@ -53,15 +43,14 @@ kernel_isa active_kernel_isa() noexcept;
 /// against concurrent kernel calls; call it from test setup only.
 bool force_kernel_isa(kernel_isa isa) noexcept;
 
-/// Stable lowercase name of an ISA tier ("scalar", "fma256", "avx512")
+/// Stable lowercase name of an ISA tier ("scalar", "fma256")
 /// for logs, bench context, and the observability surface.
 const char* kernel_isa_name(kernel_isa isa) noexcept;
 
 namespace simd {
 
 /// sum_i x[i] * y[i]. Scalar body: the historical 4-accumulator
-/// interleave. fma256/avx512 bodies: 8 vector accumulators + fused
-/// madds (avx512 folds the tail through one masked lane).
+/// interleave. fma256 body: 8 vector accumulators + fused madds.
 double dot(const double* x, const double* y, std::size_t n) noexcept;
 
 /// dst[i] += a * x[i].
@@ -82,17 +71,16 @@ void rot(double* x, double* y, double c, double s, std::size_t n) noexcept;
 /// halved row traffic is the difference between running at L2
 /// bandwidth and running at L1 speed. Scalar body composes
 /// axpy + dot exactly (bit-identical to calling them back to back);
-/// fma256/avx512 bodies fuse both ops in a single sweep with 4 vector
+/// the fma256 body fuses both ops in a single sweep with 4 vector
 /// accumulators for the reduction (fixed order, deterministic).
 double axpy_dot(double* dst, const double* z, double a, const double* u,
                 std::size_t n) noexcept;
 
 /// GEMM row update: c[j] += sum_{t < depth} a[t * a_stride] * b[t * b_stride + j]
 /// for j in [0, width). The reduction over t ascends for every j in both
-/// vector ISAs (identical per-element order to the naive kernels); the
-/// fma256 body register-blocks j in 8 vector accumulators (32 doubles),
-/// the avx512 body in 8 zmm accumulators (64 doubles), so the C row
-/// stays in registers across the whole depth tile.
+/// ISAs (identical per-element order to the naive kernels); the fma256
+/// body register-blocks j in 8 vector accumulators (32 doubles), so the
+/// C row stays in registers across the whole depth tile.
 void gemm_row_update(double* c, const double* a, std::size_t a_stride,
                      const double* b, std::size_t b_stride, std::size_t depth,
                      std::size_t width) noexcept;

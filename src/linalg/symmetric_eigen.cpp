@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
 #include <limits>
 #include <numeric>
 #include <stdexcept>
@@ -28,10 +27,10 @@ void require_symmetric(const matrix& a, double tol) {
                     "symmetric_eigen: matrix not symmetric");
 }
 
-// Householder reduction of a real symmetric matrix to tridiagonal form.
-// On exit: d holds the diagonal, e the subdiagonal (e[0] unused), and if
-// accumulate is true, `z` holds the orthogonal transformation Q such that
-// Q^T A Q = T.
+// Householder reduction of a real symmetric matrix to tridiagonal form,
+// accumulating the transformation for the full-QL path. On exit: d
+// holds the diagonal, e the subdiagonal (e[0] unused), and `z` holds
+// the orthogonal transformation Q such that Q^T A Q = T.
 //
 // The inner loops are arranged so every O(n^3) access runs along rows of
 // the row-major storage (the symmetric matrix-vector product walks the
@@ -40,8 +39,7 @@ void require_symmetric(const matrix& a, double tol) {
 // multi-accumulator dot(). Results are deterministic (fixed summation
 // order) and agree with the textbook column-walking formulation to
 // rounding.
-void tridiagonalize(matrix& z, std::vector<double>& d, std::vector<double>& e,
-                    bool accumulate) {
+void tridiagonalize(matrix& z, std::vector<double>& d, std::vector<double>& e) {
     const std::size_t n = z.rows();
     d.assign(n, 0.0);
     e.assign(n, 0.0);
@@ -72,7 +70,7 @@ void tridiagonalize(matrix& z, std::vector<double>& d, std::vector<double>& e,
                 // per row, all unit-stride.
                 const double* zi = z.row(i).data();
                 for (std::size_t j = 0; j <= l; ++j) {
-                    if (accumulate) z(j, i) = z(i, j) / h;
+                    z(j, i) = z(i, j) / h;
                     e[j] = 0.0;
                 }
                 for (std::size_t j = 0; j <= l; ++j) {
@@ -100,41 +98,38 @@ void tridiagonalize(matrix& z, std::vector<double>& d, std::vector<double>& e,
         d[i] = h;
     }
 
-    if (accumulate) d[0] = 0.0;
+    d[0] = 0.0;
     e[0] = 0.0;
 
-    std::vector<double> gbuf(accumulate ? n : 0, 0.0);
+    std::vector<double> gbuf(n, 0.0);
     for (std::size_t i = 0; i < n; ++i) {
-        if (accumulate) {
-            if (d[i] != 0.0) {
-                // g[j] = sum_k z(i,k) z(k,j), then z(k,j) -= g[j] z(k,i);
-                // k-outer so both sweeps stream rows of z. The g[j]
-                // accumulation still runs k ascending per element.
-                const double* zi = z.row(i).data();
-                for (std::size_t j = 0; j < i; ++j) gbuf[j] = 0.0;
-                for (std::size_t k = 0; k < i; ++k)
-                    simd::axpy(gbuf.data(), z.row(k).data(), zi[k], i);
-                for (std::size_t k = 0; k < i; ++k) {
-                    double* zk = z.row(k).data();
-                    simd::axpy(zk, gbuf.data(), -zk[i], i);
-                }
+        if (d[i] != 0.0) {
+            // g[j] = sum_k z(i,k) z(k,j), then z(k,j) -= g[j] z(k,i);
+            // k-outer so both sweeps stream rows of z. The g[j]
+            // accumulation still runs k ascending per element.
+            const double* zi = z.row(i).data();
+            for (std::size_t j = 0; j < i; ++j) gbuf[j] = 0.0;
+            for (std::size_t k = 0; k < i; ++k)
+                simd::axpy(gbuf.data(), z.row(k).data(), zi[k], i);
+            for (std::size_t k = 0; k < i; ++k) {
+                double* zk = z.row(k).data();
+                simd::axpy(zk, gbuf.data(), -zk[i], i);
             }
-            d[i] = z(i, i);
-            z(i, i) = 1.0;
-            for (std::size_t j = 0; j < i; ++j) z(j, i) = z(i, j) = 0.0;
-        } else {
-            d[i] = z(i, i);
         }
+        d[i] = z(i, i);
+        z(i, i) = 1.0;
+        for (std::size_t j = 0; j < i; ++j) z(j, i) = z(i, j) = 0.0;
     }
 }
 
 // ---------------------------------------------------------------------
 // Blocked (panel) Householder reduction, LAPACK dsytrd/dlatrd lineage
-// mapped onto tred2's bottom-up row convention. The reflectors are the
-// same as the classic loop's (up to rounding) and land in the same
-// storage layout — row i of z holds the scaled u_i in columns [0, i) —
-// so the Householder back-transform is path-agnostic. What changes is
-// WHEN the rank-2 updates hit the matrix:
+// mapped onto tred2's bottom-up row convention; it serves every
+// non-accumulating solve (symmetric_eigenvalues, symmetric_eigen_topk).
+// The reflectors are the same as the classic loop's (up to rounding);
+// row i of z holds the scaled u_i in columns [0, i) for the Householder
+// back-transform. What changes is WHEN the rank-2 updates hit the
+// matrix:
 //
 //   * classic: every step applies q_i u_i^T + u_i q_i^T to the whole
 //     trailing block immediately (one read-modify-write sweep per step).
@@ -159,33 +154,14 @@ void tridiagonalize(matrix& z, std::vector<double>& d, std::vector<double>& e,
 // sweet spot on 2 MB-L2 hardware at the n = 484..2048 widths the
 // unfolded OD matrices produce (swept 8..64).
 constexpr std::size_t kTridiagPanel = 16;
-// Trailing-update column tile: 64 doubles = one full zmm register block
-// of the avx512 GEMM kernel, and 2 * nb * 64 * 8 B = 16 KB of panel
-// slice, safely L1-resident.
+// Trailing-update column tile: 64 doubles = two full 32-double register
+// blocks of the fma256 GEMM kernel, and 2 * nb * 64 * 8 B = 16 KB of
+// panel slice, safely L1-resident.
 constexpr std::size_t kTrailTile = 64;
-constexpr std::size_t kTridiagBlockedMinN = 128;
 
-tridiag_path detect_tridiag_path() noexcept {
-    if (const char* env = std::getenv("TFD_NO_BLOCKED_TRED");
-        env && env[0] != '\0' && env[0] != '0')
-        return tridiag_path::classic;
-    return tridiag_path::automatic;
-}
-
-tridiag_path g_tridiag_path = detect_tridiag_path();
-
-bool use_blocked_tridiag(std::size_t n) noexcept {
-    switch (g_tridiag_path) {
-        case tridiag_path::classic: return false;
-        case tridiag_path::blocked: return true;
-        case tridiag_path::automatic: return n >= kTridiagBlockedMinN;
-    }
-    return false;
-}
-
-// Blocked counterpart of tridiagonalize(..., accumulate=false). On
-// exit: d diagonal, e subdiagonal (e[0] unused), rows i >= 2 of z hold
-// the scaled reflectors u_i in columns [0, i) for the back-transform.
+// Non-accumulating reduction. On exit: d diagonal, e subdiagonal (e[0]
+// unused), rows i >= 2 of z hold the scaled reflectors u_i in columns
+// [0, i) for the back-transform.
 void tridiagonalize_blocked(matrix& z, std::vector<double>& d,
                             std::vector<double>& e) {
     const std::size_t n = z.rows();
@@ -401,7 +377,7 @@ eigen_result symmetric_eigen(const matrix& a, double symmetry_tol) {
     eigen_result out;
     matrix q = a;
     std::vector<double> e;
-    tridiagonalize(q, out.values, e, /*accumulate=*/true);
+    tridiagonalize(q, out.values, e);
     // QL accumulates into rows, so hand it Q^T and transpose back at the
     // end; both transposes are O(n^2) against the O(n^3) rotation work.
     matrix zt = transpose(q);
@@ -415,18 +391,11 @@ std::vector<double> symmetric_eigenvalues(const matrix& a, double symmetry_tol) 
     require_symmetric(a, symmetry_tol);
     matrix work = a;
     std::vector<double> d, e;
-    if (use_blocked_tridiag(a.rows()))
-        tridiagonalize_blocked(work, d, e);
-    else
-        tridiagonalize(work, d, e, /*accumulate=*/false);
+    tridiagonalize_blocked(work, d, e);
     ql_implicit(d, e, work, /*accumulate=*/false);
     sort_descending(d, nullptr);
     return d;
 }
-
-void set_tridiag_path(tridiag_path p) noexcept { g_tridiag_path = p; }
-
-tridiag_path get_tridiag_path() noexcept { return g_tridiag_path; }
 
 // ---------------------------------------------------------------------
 // Partial spectrum: bisection + inverse iteration on the tridiagonal.
@@ -779,10 +748,7 @@ partial_eigen_result symmetric_eigen_topk(const matrix& a, std::size_t k,
 
     matrix z = a;
     std::vector<double> d, e;
-    if (use_blocked_tridiag(n))
-        tridiagonalize_blocked(z, d, e);
-    else
-        tridiagonalize(z, d, e, /*accumulate=*/false);
+    tridiagonalize_blocked(z, d, e);
 
     partial_eigen_result out;
     out.moments = tridiagonal_moments(d, e);

@@ -1,19 +1,26 @@
 // tfd::linalg — symmetric eigendecomposition.
 //
-// Two paths share one Householder tridiagonalization (EISPACK tred2
-// lineage, cache-friendly row-major layout):
+// Both paths reduce to tridiagonal form by Householder reflections
+// (EISPACK tred2 lineage, cache-friendly row-major layout):
 //
-//   * full spectrum — implicit-shift QL (tql2 lineage): every eigenpair,
-//     the classic O(n^3) dense path, exact enough for PCA on covariance
-//     matrices up to the Geant unfolded width (4p = 1936).
-//   * partial spectrum (symmetric_eigen_topk) — bisection on the Sturm
-//     sequence for the k largest eigenvalues, inverse iteration (with
-//     reorthogonalization inside clustered groups) for their tridiagonal
-//     eigenvectors, then a Householder back-transform of just those k
-//     vectors. Skips the O(n^3) QL rotation accumulation entirely, which
-//     is the dominant cost of a full decomposition; exact power sums of
-//     the whole spectrum ride along via tridiagonal trace identities so
+//   * full spectrum (symmetric_eigen) — the classic tred2 loop,
+//     accumulating Q, then implicit-shift QL (tql2 lineage): every
+//     eigenpair, the O(n^3) dense path. It is the reference the tests
+//     pin the other paths against and the top-k fallback.
+//   * partial spectrum (symmetric_eigen_topk) — a blocked (panel)
+//     reduction whose trailing updates run through the GEMM
+//     micro-kernels, bisection on the Sturm sequence for the k largest
+//     eigenvalues, inverse iteration (with reorthogonalization inside
+//     clustered groups) for their tridiagonal eigenvectors, then a
+//     Householder back-transform of just those k vectors. Skips the
+//     O(n^3) QL rotation accumulation entirely, which is the dominant
+//     cost of a full decomposition; exact power sums of the whole
+//     spectrum ride along via tridiagonal trace identities so
 //     subspace-method thresholds never need the discarded eigenpairs.
+//
+// symmetric_eigenvalues runs the blocked reduction followed by QL
+// without accumulation. Each path is deterministic run-to-run for a
+// given kernel ISA; parity between them is tolerance-level.
 #pragma once
 
 #include <array>
@@ -42,7 +49,8 @@ struct eigen_result {
 /// Complexity: O(n^3) time, O(n^2) space.
 eigen_result symmetric_eigen(const matrix& a, double symmetry_tol = 1e-8);
 
-/// Eigenvalues only (still O(n^3) but ~3x faster: no vector accumulation).
+/// Eigenvalues only: the blocked reduction, then QL without vector
+/// accumulation (still O(n^3) but several times faster).
 std::vector<double> symmetric_eigenvalues(const matrix& a,
                                           double symmetry_tol = 1e-8);
 
@@ -65,42 +73,17 @@ struct partial_eigen_result {
 /// The k largest eigenpairs of a symmetric matrix, plus full-spectrum
 /// power sums.
 ///
-/// Cost: one Householder tridiagonalization (O(n^3) with a small
-/// constant — no accumulation) + O(n k) bisection / inverse iteration +
-/// O(n^2 k) back-transform. For the subspace method's k ~ 10 this beats
-/// the full decomposition several-fold. Falls back to the full QL path
-/// internally when 2k >= n or n is small (the partial machinery would
-/// not pay for itself), and — defensively — when inverse iteration
-/// fails to converge; the result shape is identical either way.
+/// Cost: one blocked Householder tridiagonalization (O(n^3) with a
+/// small constant — no accumulation) + O(n k) bisection / inverse
+/// iteration + O(n^2 k) back-transform. For the subspace method's
+/// k ~ 10 this beats the full decomposition several-fold. Falls back to
+/// the full QL path internally when 2k >= n or n < 16 (the partial
+/// machinery would not pay for itself), and — defensively — when
+/// inverse iteration fails to converge; the result shape is identical
+/// either way.
 ///
 /// k is clamped to n. Input validation matches symmetric_eigen.
 partial_eigen_result symmetric_eigen_topk(const matrix& a, std::size_t k,
                                           double symmetry_tol = 1e-8);
-
-/// Which Householder tridiagonalization the non-accumulating paths
-/// (symmetric_eigen_topk, symmetric_eigenvalues) run.
-///
-///   automatic — blocked for n >= 128, classic below (the process
-///               default; TFD_NO_BLOCKED_TRED=1 pins classic instead)
-///   classic   — the historical unblocked tred2 loop, bit-identical to
-///               every pre-blocked release under a given kernel ISA
-///   blocked   — panel reduction: per-panel rank-2 updates stay Level-2,
-///               the trailing matrix absorbs one rank-2·nb update per
-///               panel through the blocked GEMM micro-kernels on the
-///               shared thread pool
-///
-/// Both paths produce the same reflector layout, so the Householder
-/// back-transform and every downstream consumer are path-agnostic.
-/// Parity between them is tolerance-level (same reflectors up to
-/// rounding; the blocked path regroups the rank-2 update sums), and
-/// each path is individually deterministic run-to-run. The accumulating
-/// full-QL path (symmetric_eigen) always runs classic.
-enum class tridiag_path { automatic, classic, blocked };
-
-/// Process-wide tridiagonalization selection; `automatic` on startup
-/// (forced to `classic` when TFD_NO_BLOCKED_TRED is set). Not
-/// thread-safe against concurrent eigensolves; call from setup only.
-void set_tridiag_path(tridiag_path p) noexcept;
-tridiag_path get_tridiag_path() noexcept;
 
 }  // namespace tfd::linalg

@@ -85,7 +85,7 @@ pipeline_bridge::pipeline_bridge(stream::stream_pipeline& pipeline,
         m_.kernel_isa = &reg->get_gauge(
             "tfd_kernel_isa",
             "SIMD tier the linalg kernels dispatched to: 0=scalar, "
-            "1=fma256, 2=avx512");
+            "1=fma256");
         // Dispatch is decided once at process start; stamp it so a
         // scrape shows which tier this daemon actually runs.
         m_.kernel_isa->set(static_cast<double>(

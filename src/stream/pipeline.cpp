@@ -94,13 +94,6 @@ void stream_pipeline::close_bin() {
     emit_bin(shards_, closing);
 }
 
-void stream_pipeline::advance_to(std::size_t bin) {
-    // Emit every bin up to (excluding) `bin`: the open one, then empty
-    // gap bins, keeping the detector's row-per-bin time base intact.
-    while (bin_open_ && current_bin_ < bin) close_bin();
-    current_bin_ = bin;
-}
-
 od_shard_set stream_pipeline::acquire_set() {
     if (!set_pool_.empty()) {
         od_shard_set set = std::move(set_pool_.back());
@@ -172,7 +165,6 @@ void stream_pipeline::reorder_advance(std::size_t bin) {
 
 void stream_pipeline::push(std::span<const flow::flow_record> records) {
     if (records.empty()) return;
-    const bool reorder = opts_.reorder_window_bins > 0;
     // The accumulation clock covers resolve + routing + shard work, so
     // records_per_second() reflects the full per-record ingest cost.
     // The same clock (bin closures excluded) feeds the per-push
@@ -216,7 +208,7 @@ void stream_pipeline::push(std::span<const flow::flow_record> records) {
         // era-local, so a bin more than max_gap_bins below every scored
         // bin has no verdict in this era).
         od_shard_set* straggler_set = nullptr;
-        if (reorder && bin_open_ && bin < current_bin_ &&
+        if (bin_open_ && bin < current_bin_ &&
             current_bin_ - bin <= opts_.reorder_window_bins) {
             straggler_set = find_held(bin);
             if (!straggler_set &&
@@ -239,7 +231,7 @@ void stream_pipeline::push(std::span<const flow::flow_record> records) {
                 const std::uint64_t dt = now_ns() - t0;
                 metrics_.accumulate_ns += dt;
                 push_accum_ns += dt;
-                if (reorder) emit_pending_below(current_bin_);
+                emit_pending_below(current_bin_);
                 ++metrics_.time_base_resets;
                 const std::size_t closing = current_bin_;
                 const bool had_open = bin_open_;
@@ -278,7 +270,7 @@ void stream_pipeline::push(std::span<const flow::flow_record> records) {
             if (bin - current_bin_ > opts_.max_gap_bins) {
                 // Time-base discontinuity: don't spin through an absurd
                 // number of empty harvests (see pipeline_options).
-                if (reorder) emit_pending_below(current_bin_);
+                emit_pending_below(current_bin_);
                 ++metrics_.time_base_resets;
                 const std::size_t closing = current_bin_;
                 if (lifecycle_cb_) {
@@ -291,10 +283,8 @@ void stream_pipeline::push(std::span<const flow::flow_record> records) {
                 current_bin_ = bin;
                 open_floor_ = bin;
                 emit_bin(shards_, closing);
-            } else if (reorder) {
-                reorder_advance(bin);
             } else {
-                advance_to(bin);
+                reorder_advance(bin);
             }
             t0 = now_ns();
         }
@@ -320,8 +310,7 @@ void stream_pipeline::push(std::span<const flow::flow_record> records) {
 }
 
 void stream_pipeline::finish() {
-    if (bin_open_ && opts_.reorder_window_bins > 0)
-        emit_pending_below(current_bin_);
+    if (bin_open_) emit_pending_below(current_bin_);
     if (!bin_open_) return;
     // Clear the open flag before emitting so an observer (e.g. a
     // checkpoint) sees the finished state: the emitted bin is the last,
@@ -452,8 +441,9 @@ std::uint64_t stream_pipeline::config_fingerprint() const {
     w.varint(o.refit_interval);
     w.varint(o.max_identified);
     w.varint(o.subspace.normal_dims);
-    w.u8(o.subspace.center ? 1 : 0);
-    w.u8(o.subspace.partial_fit ? 1 : 0);
+    // Bytes of two deleted subspace flags, pinned so old checkpoints restore.
+    w.u8(1);
+    w.u8(1);
     w.f64(o.alpha);
     // Recalibration policy: every knob changes the trajectory of a
     // drift-aware detector, so a snapshot must not restore across a

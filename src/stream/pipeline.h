@@ -384,8 +384,8 @@ private:
 
     void emit_bin(od_shard_set& shards, std::size_t bin);
     void close_bin();
-    void advance_to(std::size_t bin);
-    // ---- reorder ring (reorder_window_bins > 0) ----
+    // ---- reorder ring (stays empty at reorder_window_bins == 0, where
+    // reorder_advance reduces to closing every bin below the new one) ----
     od_shard_set acquire_set();
     od_shard_set* find_held(std::size_t bin);
     od_shard_set* retro_open(std::size_t bin);

@@ -59,7 +59,7 @@ TEST(IdentifyTest, FindsSingleAnomalousFlow) {
     perturb(f, bin, od, {-0.8, 1.0, -0.9, 1.2});
     auto m = unfold(f);
 
-    auto model = subspace_model::fit(m.h, {.normal_dims = 10, .center = true});
+    auto model = subspace_model::fit(m.h, {.normal_dims = 10});
     const double thr = model.q_threshold(0.999);
     auto id = identify_flows(model, m, m.h.row(bin),
                              {.max_flows = 3, .stop_threshold = thr});
@@ -78,7 +78,7 @@ TEST(IdentifyTest, MagnitudeRecoversPerturbation) {
     perturb(f, bin, od, delta);
     auto m = unfold(f);
 
-    auto model = subspace_model::fit(m.h, {.normal_dims = 10, .center = true});
+    auto model = subspace_model::fit(m.h, {.normal_dims = 10});
     auto id = identify_flows(model, m, m.h.row(bin),
                              {.max_flows = 1, .stop_threshold = 0.0});
     ASSERT_FALSE(id.flows.empty());
@@ -100,7 +100,7 @@ TEST(IdentifyTest, RecursionFindsMultipleFlows) {
     perturb(f, bin, 17, {-1.0, 1.8, -0.7, 1.3});
     auto m = unfold(f);
 
-    auto model = subspace_model::fit(m.h, {.normal_dims = 10, .center = true});
+    auto model = subspace_model::fit(m.h, {.normal_dims = 10});
     const double thr = model.q_threshold(0.999);
     auto id = identify_flows(model, m, m.h.row(bin),
                              {.max_flows = 5, .stop_threshold = thr});
@@ -114,7 +114,7 @@ TEST(IdentifyTest, QuietBinIdentifiesNothing) {
     auto f = entropy_features(288, 12);
     perturb(f, 200, 7, {1.5, 1.5, 1.5, 1.5});
     auto m = unfold(f);
-    auto model = subspace_model::fit(m.h, {.normal_dims = 10, .center = true});
+    auto model = subspace_model::fit(m.h, {.normal_dims = 10});
     const double thr = model.q_threshold(0.995);
     // Pick the quietest bin (minimum SPE): identification must stop at
     // once because SPE <= threshold.
@@ -133,7 +133,7 @@ TEST(IdentifyTest, MaxFlowsBoundsRecursion) {
     auto f = entropy_features(288, 12);
     for (int od : {1, 4, 8}) perturb(f, 60, od, {2.0, -2.0, 2.0, -2.0});
     auto m = unfold(f);
-    auto model = subspace_model::fit(m.h, {.normal_dims = 8, .center = true});
+    auto model = subspace_model::fit(m.h, {.normal_dims = 8});
     auto id = identify_flows(model, m, m.h.row(60),
                              {.max_flows = 2, .stop_threshold = 0.0});
     EXPECT_LE(id.flows.size(), 2u);
@@ -141,7 +141,7 @@ TEST(IdentifyTest, MaxFlowsBoundsRecursion) {
 
 TEST(IdentifyTest, DimensionMismatchThrows) {
     auto m = unfold(entropy_features(96, 8));
-    auto model = subspace_model::fit(m.h, {.normal_dims = 4, .center = true});
+    auto model = subspace_model::fit(m.h, {.normal_dims = 4});
     std::vector<double> bad(7, 0.0);
     EXPECT_THROW(identify_flows(model, m, bad, {}), std::invalid_argument);
 }
@@ -151,7 +151,7 @@ TEST(IdentifyTest, SpeAfterDecreasesMonotonically) {
     perturb(f, 20, 2, {1.8, 0.9, -1.5, 1.0});
     perturb(f, 20, 9, {-1.2, 1.6, 0.8, -1.1});
     auto m = unfold(f);
-    auto model = subspace_model::fit(m.h, {.normal_dims = 10, .center = true});
+    auto model = subspace_model::fit(m.h, {.normal_dims = 10});
     auto id = identify_flows(model, m, m.h.row(20),
                              {.max_flows = 4, .stop_threshold = 0.0});
     double prev = id.spe_before;
@@ -170,7 +170,7 @@ TEST(IdentifyTest, MultiFlowAnomalySharedDestination) {
     const std::set<int> truth{2, 7, 12, 19};
     for (int od : truth) perturb(f, bin, od, {1.2, -0.8, -1.4, 0.6});
     auto m = unfold(f);
-    auto model = subspace_model::fit(m.h, {.normal_dims = 10, .center = true});
+    auto model = subspace_model::fit(m.h, {.normal_dims = 10});
     const double thr = model.q_threshold(0.999);
     auto id = identify_flows(model, m, m.h.row(bin),
                              {.max_flows = 6, .stop_threshold = thr});

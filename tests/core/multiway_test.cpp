@@ -136,7 +136,7 @@ TEST(DetectorTest, DetectsAndIdentifiesPlantedPortScan) {
     };
 
     auto data = build_od_dataset(bins, topo.od_count(), source, 2);
-    auto det = detect_entropy_anomalies(data, {.normal_dims = 10, .center = true},
+    auto det = detect_entropy_anomalies(data, {.normal_dims = 10},
                                         0.999);
 
     // The anomalous bin must be flagged...
@@ -161,7 +161,7 @@ TEST(DetectorTest, DetectsAndIdentifiesPlantedPortScan) {
     // this particular scan is volume-visible depends on cell scale; the
     // entropy-vs-volume sensitivity comparison is made at calibrated
     // scale in bench/fig5_detection_rate.)
-    auto vol = detect_volume_anomalies(data, {.normal_dims = 10, .center = true},
+    auto vol = detect_volume_anomalies(data, {.normal_dims = 10},
                                        0.999);
     EXPECT_EQ(vol.bytes.spe.size(), bins);
     EXPECT_EQ(vol.packets.spe.size(), bins);
@@ -193,9 +193,9 @@ TEST(MultiwayTest, DetectionInvariantUnderFeatureRescaling) {
     EXPECT_LT(la::max_abs_diff(m1.h, m2.h), 1e-12);
 
     const auto d1 = detect_entropy_anomalies(
-        m1, {.normal_dims = 4, .center = true}, 0.995);
+        m1, {.normal_dims = 4}, 0.995);
     const auto d2 = detect_entropy_anomalies(
-        m2, {.normal_dims = 4, .center = true}, 0.995);
+        m2, {.normal_dims = 4}, 0.995);
     ASSERT_EQ(d1.rows.spe.size(), d2.rows.spe.size());
     for (std::size_t b = 0; b < d1.rows.spe.size(); ++b)
         EXPECT_NEAR(d1.rows.spe[b], d2.rows.spe[b],

@@ -76,7 +76,7 @@ TEST(SubspaceTest, ResidualOrthogonalToModeled) {
 
 TEST(SubspaceTest, SpeRowsMatchesSingleSpe) {
     auto x = synth(25, 6, 2, 0.3, 3);
-    auto m = subspace_model::fit(x, {.normal_dims = 2, .center = true});
+    auto m = subspace_model::fit(x, {.normal_dims = 2});
     const auto all = m.spe_rows(x);
     ASSERT_EQ(all.size(), 25u);
     for (std::size_t r = 0; r < 25; r += 5)
@@ -87,7 +87,7 @@ TEST(SubspaceTest, SpeRowsMatchesSingleSpe) {
 
 TEST(SubspaceTest, QThresholdValidation) {
     auto x = synth(30, 6, 2, 0.3, 4);
-    auto m = subspace_model::fit(x, {.normal_dims = 2, .center = true});
+    auto m = subspace_model::fit(x, {.normal_dims = 2});
     EXPECT_THROW(m.q_threshold(0.0), std::invalid_argument);
     EXPECT_THROW(m.q_threshold(1.0), std::invalid_argument);
     EXPECT_GT(m.q_threshold(0.999), 0.0);
@@ -95,7 +95,7 @@ TEST(SubspaceTest, QThresholdValidation) {
 
 TEST(SubspaceTest, QThresholdIncreasesWithAlpha) {
     auto x = synth(60, 10, 3, 1.0, 5);
-    auto m = subspace_model::fit(x, {.normal_dims = 3, .center = true});
+    auto m = subspace_model::fit(x, {.normal_dims = 3});
     const double q95 = m.q_threshold(0.95);
     const double q995 = m.q_threshold(0.995);
     const double q999 = m.q_threshold(0.999);
@@ -106,14 +106,14 @@ TEST(SubspaceTest, QThresholdIncreasesWithAlpha) {
 TEST(SubspaceTest, QThresholdZeroWhenResidualSpaceEmpty) {
     // normal_dims == dimension -> no residual eigenvalues.
     auto x = synth(30, 4, 2, 0.2, 6);
-    auto m = subspace_model::fit(x, {.normal_dims = 4, .center = true});
+    auto m = subspace_model::fit(x, {.normal_dims = 4});
     EXPECT_EQ(m.q_threshold(0.999), 0.0);
 }
 
 TEST(SubspaceTest, DetectsPlantedSpikes) {
     const std::vector<std::size_t> spikes{10, 25, 40};
     auto x = synth(60, 12, 3, 0.5, 7, spikes, 8.0);
-    auto det = detect_rows(x, {.normal_dims = 3, .center = true}, 0.999);
+    auto det = detect_rows(x, {.normal_dims = 3}, 0.999);
     for (auto s : spikes)
         EXPECT_TRUE(std::find(det.anomalous_bins.begin(),
                               det.anomalous_bins.end(),
@@ -125,7 +125,7 @@ TEST(SubspaceTest, FalseAlarmRateNearAlpha) {
     // Pure low-rank + noise data: the flagged fraction should be within a
     // few multiples of (1 - alpha).
     auto x = synth(800, 15, 4, 1.0, 8);
-    auto det = detect_rows(x, {.normal_dims = 4, .center = true}, 0.995);
+    auto det = detect_rows(x, {.normal_dims = 4}, 0.995);
     const double rate =
         static_cast<double>(det.anomalous_bins.size()) / 800.0;
     EXPECT_LT(rate, 0.06);  // nominal 0.005; generous on synthetic data
@@ -133,7 +133,7 @@ TEST(SubspaceTest, FalseAlarmRateNearAlpha) {
 
 TEST(SubspaceTest, SpikesDominateSpeDistribution) {
     auto x = synth(100, 10, 3, 0.5, 9, {50}, 12.0);
-    auto m = subspace_model::fit(x, {.normal_dims = 3, .center = true});
+    auto m = subspace_model::fit(x, {.normal_dims = 3});
     const auto spe = m.spe_rows(x);
     double max_other = 0.0;
     for (std::size_t r = 0; r < spe.size(); ++r)
@@ -145,7 +145,7 @@ TEST(SubspaceTest, VarianceCapturedMonotoneInDims) {
     auto x = synth(80, 12, 5, 1.0, 10);
     double prev = 0.0;
     for (std::size_t m = 1; m <= 12; ++m) {
-        auto model = subspace_model::fit(x, {.normal_dims = m, .center = true});
+        auto model = subspace_model::fit(x, {.normal_dims = m});
         EXPECT_GE(model.variance_captured() + 1e-12, prev);
         prev = model.variance_captured();
     }
@@ -157,7 +157,7 @@ class AlphaSweep : public ::testing::TestWithParam<double> {};
 
 TEST_P(AlphaSweep, ThresholdFiniteAndPositive) {
     auto x = synth(60, 10, 3, 0.8, 11);
-    auto m = subspace_model::fit(x, {.normal_dims = 3, .center = true});
+    auto m = subspace_model::fit(x, {.normal_dims = 3});
     const double q = m.q_threshold(GetParam());
     EXPECT_TRUE(std::isfinite(q));
     EXPECT_GT(q, 0.0);
@@ -174,7 +174,7 @@ TEST(SubspaceTest, ThresholdStaysAboveTypicalSpeWithStructuredResidual) {
     // SPE (h0 -> 0), flagging most bins. The Box chi-square floor must
     // keep the threshold above the bulk of the SPE distribution.
     auto x = synth(400, 20, 8, 1.0, 21);  // rank 8 data
-    auto m = subspace_model::fit(x, {.normal_dims = 4, .center = true});
+    auto m = subspace_model::fit(x, {.normal_dims = 4});
     const auto spe = m.spe_rows(x);
     std::vector<double> sorted = spe;
     std::sort(sorted.begin(), sorted.end());
@@ -195,7 +195,7 @@ TEST(SubspaceTest, BoxFloorMatchesJmOnSingleSpikeResidual) {
     // Plant persistent variance in ONE residual direction.
     for (std::size_t t = 0; t < x.rows(); ++t)
         x(t, 7) += ((t % 2) ? 4.0 : -4.0);
-    auto m = subspace_model::fit(x, {.normal_dims = 3, .center = true});
+    auto m = subspace_model::fit(x, {.normal_dims = 3});
     const double thr = m.q_threshold(0.999);
     EXPECT_GT(thr, 0.0);
     EXPECT_TRUE(std::isfinite(thr));

@@ -38,8 +38,7 @@ entropy_space_points make_known_points(
         bins, topo.od_count(),
         [&](std::size_t b, int od) { return bg.generate(b, od); }, 2);
     auto m = core::unfold(clean);
-    auto model = core::subspace_model::fit(m.h, {.normal_dims = 10,
-                                                 .center = true});
+    auto model = core::subspace_model::fit(m.h, {.normal_dims = 10});
 
     entropy_space_points out;
     out.x.resize(types.size() * per_type, 4);

@@ -1,15 +1,20 @@
-// Blocked-vs-classic Householder tridiagonalization parity
-// (set_tridiag_path): full-spectrum eigenvalues, top-k values / moments /
-// subspaces, the automatic-dispatch threshold, determinism of each path,
+// The blocked (panel) Householder tridiagonalization behind every
+// non-accumulating solve (symmetric_eigenvalues, symmetric_eigen_topk),
+// checked against the full-QL reference symmetric_eigen: full-spectrum
+// eigenvalues, top-k values / moments / subspaces across small, odd and
+// panel-boundary orders up to the Abilene unfolded width, determinism,
 // and clustered / rank-deficient covariances at the n = 1024 width a
-// 16-PoP synthetic topology unfolds to (4 * 16^2).
+// 16-PoP synthetic topology unfolds to (4 * 16^2), checked against
+// their known spectra.
 #include "linalg/symmetric_eigen.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "linalg/matrix.h"
@@ -28,20 +33,28 @@ double unit(std::uint64_t& s) {
     return static_cast<double>(lcg(s) % 2000) / 1000.0 - 1.0;
 }
 
-// Random symmetric positive semidefinite matrix B^T B (+ optional ridge).
-la::matrix random_spd(std::size_t n, std::uint64_t seed, double ridge = 0.0) {
+// Random symmetric positive semidefinite matrix B^T B.
+la::matrix random_spd(std::size_t n, std::uint64_t seed) {
     la::matrix b(n, n);
     std::uint64_t s = seed;
     for (double& v : b.data()) v = unit(s);
-    la::matrix a = la::gram(b);
-    for (std::size_t i = 0; i < n; ++i) a(i, i) += ridge;
-    return a;
+    return la::gram(b);
 }
 
 double scale_of(const std::vector<double>& w) {
     double s = 1.0;
     for (double v : w) s = std::max(s, std::fabs(v));
     return s;
+}
+
+std::array<double, 3> power_sums(const std::vector<double>& w) {
+    std::array<double, 3> m{0.0, 0.0, 0.0};
+    for (double v : w) {
+        m[0] += v;
+        m[1] += v * v;
+        m[2] += v * v * v;
+    }
+    return m;
 }
 
 // || V V^T - W W^T ||_max for two n x k bases (see eigen_topk_test).
@@ -65,33 +78,49 @@ double projector_gap(const la::matrix& v, const la::matrix& w) {
     return ::testing::AssertionSuccess();
 }
 
-// Restores the process-wide tridiagonalization selection on scope exit so
-// a failing assertion can never leak a pinned path into other tests.
-struct path_guard {
-    la::tridiag_path saved = la::get_tridiag_path();
-    ~path_guard() { la::set_tridiag_path(saved); }
-};
+// Top-k of `a` against the full-QL decomposition: values at 1e-8 of the
+// spectrum scale, moments at 1e-10 relative, and the leading-k
+// projector at 1e-8.
+void expect_topk_matches_full(const la::matrix& a, std::size_t k) {
+    const std::size_t n = a.rows();
+    const auto full = la::symmetric_eigen(a);
+    const auto part = la::symmetric_eigen_topk(a, k);
+    ASSERT_EQ(part.values.size(), k) << "n=" << n;
 
-la::partial_eigen_result topk_with(la::tridiag_path p, const la::matrix& a,
-                                   std::size_t k) {
-    path_guard g;
-    la::set_tridiag_path(p);
-    return la::symmetric_eigen_topk(a, k);
-}
+    const double tol = 1e-8 * scale_of(full.values);
+    for (std::size_t i = 0; i < k; ++i)
+        EXPECT_NEAR(part.values[i], full.values[i], tol)
+            << "n=" << n << " i=" << i;
 
-std::vector<double> values_with(la::tridiag_path p, const la::matrix& a) {
-    path_guard g;
-    la::set_tridiag_path(p);
-    return la::symmetric_eigenvalues(a);
+    // Moments come from trace identities on the tridiagonal form, which
+    // is orthogonally similar to A, so they must match the power sums of
+    // the full spectrum to rounding.
+    const auto want = power_sums(full.values);
+    for (std::size_t p = 0; p < 3; ++p) {
+        const double denom = std::max(std::fabs(want[p]), 1.0);
+        EXPECT_LT(std::fabs(part.moments[p] - want[p]) / denom, 1e-10)
+            << "n=" << n << " moment p=" << p + 1;
+    }
+
+    // Subspace agreement, basis-invariant.
+    EXPECT_LT(projector_gap(part.vectors, full.vectors.block(0, 0, n, k)),
+              1e-8)
+        << "n=" << n;
 }
 
 // Cheap clustered covariance at large n: c * I plus a low-rank bump with
-// orthonormal directions. Spectrum is known exactly — r distinct leading
-// eigenvalues c + gain_j, then c with multiplicity n - r — without the
-// O(n^3) dense construction with_spectrum needs.
-la::matrix shifted_low_rank(std::size_t n, std::size_t r, double c,
-                            std::uint64_t seed) {
-    la::matrix v(r, n);  // rows become the bump directions
+// orthonormal directions (the rows of `dirs`). Spectrum is known
+// exactly — r distinct leading eigenvalues c + {r, ..., 1} with the
+// rows of `dirs` as eigenvectors, then c with multiplicity n - r —
+// without the O(n^3) dense construction with_spectrum needs.
+struct shifted_low_rank {
+    la::matrix a;
+    la::matrix dirs;
+};
+
+shifted_low_rank make_shifted_low_rank(std::size_t n, std::size_t r, double c,
+                                       std::uint64_t seed) {
+    la::matrix v(r, n);
     std::uint64_t s = seed;
     for (double& x : v.data()) x = unit(s);
     for (std::size_t i = 0; i < r; ++i) {
@@ -112,104 +141,55 @@ la::matrix shifted_low_rank(std::size_t n, std::size_t r, double c,
             for (std::size_t col = 0; col < n; ++col)
                 a(row, col) += gain * v(j, row) * v(j, col);
     }
-    return a;
+    return {std::move(a), std::move(v)};
 }
 
 }  // namespace
 
-TEST(BlockedTridiagTest, EigenvaluesMatchClassicAcrossSizes) {
-    // Spans both sides of the automatic-dispatch threshold (n = 128) and
-    // the Geant unfolded width.
+TEST(BlockedTridiagTest, EigenvaluesMatchFullQlAcrossSizes) {
     for (std::size_t n : {64u, 130u, 300u, 484u}) {
         const auto a = random_spd(n, 9000 + n);
-        const auto classic = values_with(la::tridiag_path::classic, a);
-        const auto blocked = values_with(la::tridiag_path::blocked, a);
-        ASSERT_EQ(classic.size(), blocked.size());
-        const double tol = 1e-8 * scale_of(classic);
-        for (std::size_t i = 0; i < classic.size(); ++i)
-            EXPECT_NEAR(classic[i], blocked[i], tol) << "n=" << n << " i=" << i;
+        const auto full = la::symmetric_eigen(a).values;
+        const auto blocked = la::symmetric_eigenvalues(a);
+        ASSERT_EQ(full.size(), blocked.size());
+        const double tol = 1e-8 * scale_of(full);
+        for (std::size_t i = 0; i < full.size(); ++i)
+            EXPECT_NEAR(full[i], blocked[i], tol) << "n=" << n << " i=" << i;
     }
 }
 
-TEST(BlockedTridiagTest, TopkValuesMomentsAndSubspaceMatchClassic) {
-    const std::size_t n = 484, k = 10;
-    const auto a = random_spd(n, 42);
-    const auto classic = topk_with(la::tridiag_path::classic, a, k);
-    const auto blocked = topk_with(la::tridiag_path::blocked, a, k);
+TEST(BlockedTridiagTest, SmallAndOddOrdersMatchFullQl) {
+    // Every order reaches the blocked reduction through
+    // symmetric_eigenvalues; top-k reaches it from n = 16 up (below
+    // that, or at 2k >= n, it falls back to full QL). The sweep covers
+    // single-panel orders, odd remainders either side of the 16-wide
+    // panel, and both sides of n = 128.
+    for (std::size_t n :
+         {2u, 3u, 5u, 15u, 16u, 17u, 31u, 33u, 64u, 127u, 128u, 129u}) {
+        const auto a = random_spd(n, 4100 + n);
+        const auto full = la::symmetric_eigen(a).values;
+        const auto blocked = la::symmetric_eigenvalues(a);
+        ASSERT_EQ(full.size(), blocked.size()) << "n=" << n;
+        const double tol = 1e-8 * scale_of(full);
+        for (std::size_t i = 0; i < n; ++i)
+            EXPECT_NEAR(full[i], blocked[i], tol) << "n=" << n << " i=" << i;
 
-    const double tol = 1e-8 * scale_of(classic.values);
-    ASSERT_EQ(classic.values.size(), k);
-    ASSERT_EQ(blocked.values.size(), k);
-    for (std::size_t i = 0; i < k; ++i)
-        EXPECT_NEAR(classic.values[i], blocked.values[i], tol) << "i=" << i;
-
-    // Moments come from trace identities on the tridiagonal form; both
-    // reductions are orthogonally similar to the same A, so the power
-    // sums must agree to rounding.
-    for (std::size_t p = 0; p < 3; ++p) {
-        const double denom = std::max(std::fabs(classic.moments[p]), 1.0);
-        EXPECT_LT(std::fabs(classic.moments[p] - blocked.moments[p]) / denom,
-                  1e-10)
-            << "moment p=" << p + 1;
-    }
-
-    // Subspace agreement, basis-invariant.
-    EXPECT_LT(projector_gap(classic.vectors, blocked.vectors), 1e-8);
-}
-
-TEST(BlockedTridiagTest, AutomaticDispatchesByThreshold) {
-    // Below n = 128 `automatic` runs classic, above it blocked — in both
-    // regimes the automatic result must be bit-identical to the pinned
-    // path it dispatches to.
-    {
-        const auto a = random_spd(96, 7);
-        const auto autop = topk_with(la::tridiag_path::automatic, a, 5);
-        const auto classic = topk_with(la::tridiag_path::classic, a, 5);
-        ASSERT_EQ(autop.values, classic.values);
-        ASSERT_TRUE(same_bits(autop.vectors, classic.vectors));
-    }
-    {
-        const auto a = random_spd(200, 8);
-        const auto autop = topk_with(la::tridiag_path::automatic, a, 5);
-        const auto blocked = topk_with(la::tridiag_path::blocked, a, 5);
-        ASSERT_EQ(autop.values, blocked.values);
-        ASSERT_TRUE(same_bits(autop.vectors, blocked.vectors));
+        expect_topk_matches_full(a, std::min<std::size_t>(5, n));
     }
 }
 
-TEST(BlockedTridiagTest, EachPathIsDeterministic) {
+TEST(BlockedTridiagTest, TopkValuesMomentsAndSubspaceMatchFullQl) {
+    expect_topk_matches_full(random_spd(484, 42), 10);
+}
+
+TEST(BlockedTridiagTest, IsDeterministic) {
     const auto a = random_spd(300, 11);
-    for (auto p : {la::tridiag_path::classic, la::tridiag_path::blocked}) {
-        const auto r1 = topk_with(p, a, 10);
-        const auto r2 = topk_with(p, a, 10);
-        ASSERT_EQ(r1.values, r2.values);
-        ASSERT_TRUE(same_bits(r1.vectors, r2.vectors));
-        ASSERT_EQ(r1.moments, r2.moments);
-    }
-}
-
-TEST(BlockedTridiagTest, FullQlAlwaysClassicAndConsistentWithTopk) {
-    // The accumulating full-QL path ignores the selection, so its output
-    // is bit-identical under either setting — and the blocked top-k must
-    // still agree with it at tolerance.
-    const std::size_t n = 300, k = 10;
-    const auto a = random_spd(n, 13);
-
-    la::eigen_result full_c, full_b;
-    {
-        path_guard g;
-        la::set_tridiag_path(la::tridiag_path::classic);
-        full_c = la::symmetric_eigen(a);
-        la::set_tridiag_path(la::tridiag_path::blocked);
-        full_b = la::symmetric_eigen(a);
-    }
-    ASSERT_EQ(full_c.values, full_b.values);
-    ASSERT_TRUE(same_bits(full_c.vectors, full_b.vectors));
-
-    const auto part = topk_with(la::tridiag_path::blocked, a, k);
-    const double tol = 1e-8 * scale_of(full_c.values);
-    for (std::size_t i = 0; i < k; ++i)
-        EXPECT_NEAR(part.values[i], full_c.values[i], tol) << "i=" << i;
+    const auto r1 = la::symmetric_eigen_topk(a, 10);
+    const auto r2 = la::symmetric_eigen_topk(a, 10);
+    ASSERT_EQ(r1.values, r2.values);
+    ASSERT_TRUE(same_bits(r1.vectors, r2.vectors));
+    ASSERT_EQ(r1.moments, r2.moments);
+    ASSERT_EQ(la::symmetric_eigenvalues(a), la::symmetric_eigenvalues(a));
 }
 
 TEST(BlockedTridiagTest, ClusteredSpectrumAtSyntheticWidth1024) {
@@ -222,53 +202,61 @@ TEST(BlockedTridiagTest, ClusteredSpectrumAtSyntheticWidth1024) {
     const std::size_t n = 4 * static_cast<std::size_t>(topo.od_count());
     ASSERT_EQ(n, 1024u);
 
-    const auto a = shifted_low_rank(n, 6, 2.0, 99);
+    const auto [a, dirs] = make_shifted_low_rank(n, 6, 2.0, 99);
     const std::size_t k = 8;
-    const auto classic = topk_with(la::tridiag_path::classic, a, k);
-    const auto blocked = topk_with(la::tridiag_path::blocked, a, k);
+    const auto blocked = la::symmetric_eigen_topk(a, k);
 
-    for (std::size_t i = 0; i < k; ++i) {
-        const double expect = i < 6 ? 2.0 + (6.0 - static_cast<double>(i))
-                                    : 2.0;
-        EXPECT_NEAR(classic.values[i], expect, 1e-7) << "i=" << i;
-        EXPECT_NEAR(blocked.values[i], expect, 1e-7) << "i=" << i;
-    }
+    std::vector<double> spectrum(n, 2.0);
+    for (std::size_t i = 0; i < 6; ++i)
+        spectrum[i] = 2.0 + (6.0 - static_cast<double>(i));
+    for (std::size_t i = 0; i < k; ++i)
+        EXPECT_NEAR(blocked.values[i], spectrum[i], 1e-7) << "i=" << i;
+
     // Only the 6 distinct leaders have an identifiable subspace; inside
     // the multiplicity-(n-6) cluster any rotation is valid.
-    la::matrix lead_c(n, 6), lead_b(n, 6);
-    for (std::size_t i = 0; i < n; ++i)
-        for (std::size_t j = 0; j < 6; ++j) {
-            lead_c(i, j) = classic.vectors(i, j);
-            lead_b(i, j) = blocked.vectors(i, j);
-        }
-    EXPECT_LT(projector_gap(lead_c, lead_b), 1e-7);
+    EXPECT_LT(projector_gap(blocked.vectors.block(0, 0, n, 6),
+                            la::transpose(dirs)),
+              1e-7);
+    const auto want = power_sums(spectrum);
     for (std::size_t p = 0; p < 3; ++p)
-        EXPECT_NEAR(classic.moments[p], blocked.moments[p],
-                    1e-9 * std::max(std::fabs(classic.moments[p]), 1.0))
+        EXPECT_NEAR(blocked.moments[p], want[p],
+                    1e-9 * std::max(std::fabs(want[p]), 1.0))
             << "moment p=" << p + 1;
 }
 
 TEST(BlockedTridiagTest, RankDeficientAtSyntheticWidth1024) {
     // Covariance of 40 observations over 1024 features: rank <= 40, so
     // 984 eigenvalues are exactly zero — the shape a short traffic
-    // window over a large synthetic topology produces.
+    // window over a large synthetic topology produces. Its nonzero
+    // spectrum is that of the 40 x 40 Gram B B^T, with eigenvectors
+    // B^T u / ||B^T u|| — a known answer from an independent, small
+    // full-QL solve.
     const std::size_t n = 1024, t = 40, k = 10;
     la::matrix b(t, n);
     std::uint64_t s = 2026;
     for (double& v : b.data()) v = unit(s);
     const la::matrix a = la::gram(b);
 
-    const auto classic = topk_with(la::tridiag_path::classic, a, k);
-    const auto blocked = topk_with(la::tridiag_path::blocked, a, k);
+    const auto small = la::symmetric_eigen(la::outer_gram(b));
+    const auto blocked = la::symmetric_eigen_topk(a, k);
 
-    const double tol = 1e-8 * scale_of(classic.values);
+    const double tol = 1e-8 * scale_of(small.values);
     for (std::size_t i = 0; i < k; ++i) {
-        EXPECT_NEAR(classic.values[i], blocked.values[i], tol) << "i=" << i;
+        EXPECT_NEAR(blocked.values[i], small.values[i], tol) << "i=" << i;
         EXPECT_GT(blocked.values[i], 0.0);  // leading 10 of rank 40
     }
-    EXPECT_LT(projector_gap(classic.vectors, blocked.vectors), 1e-7);
+
+    la::matrix lead = la::multiply(la::transpose(b),
+                                   small.vectors.block(0, 0, t, k));
+    for (std::size_t j = 0; j < k; ++j) {
+        const double inv = 1.0 / std::sqrt(small.values[j]);
+        for (std::size_t i = 0; i < n; ++i) lead(i, j) *= inv;
+    }
+    EXPECT_LT(projector_gap(blocked.vectors, lead), 1e-7);
+
+    const auto want = power_sums(small.values);
     for (std::size_t p = 0; p < 3; ++p)
-        EXPECT_NEAR(classic.moments[p], blocked.moments[p],
-                    1e-9 * std::max(std::fabs(classic.moments[p]), 1.0))
+        EXPECT_NEAR(blocked.moments[p], want[p],
+                    1e-9 * std::max(std::fabs(want[p]), 1.0))
             << "moment p=" << p + 1;
 }

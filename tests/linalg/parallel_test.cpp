@@ -1,10 +1,10 @@
 // Tests for the thread pool, the deterministic blocked parallel-for, and
 // parity between the blocked/parallel dense kernels and their naive
-// single-threaded references under ALL THREE SIMD ISAs: bit-exact under
-// the scalar micro-kernels, tolerance-level under fma256/avx512 (fused
+// single-threaded references under both SIMD ISAs: bit-exact under the
+// scalar micro-kernels, tolerance-level under fma256 (fused
 // multiply-adds change rounding but not the reduction order), and
-// bit-exact for outer_gram under every tier (blocked and naive share
-// dot()). The avx512 cases skip cleanly on hardware without avx512f.
+// bit-exact for outer_gram under either tier (blocked and naive share
+// dot()). The fma256 cases skip cleanly on hardware without AVX2+FMA.
 #include "linalg/parallel.h"
 
 #include <gtest/gtest.h>
@@ -41,8 +41,8 @@ double max_abs(const la::matrix& m) {
 // the process default afterwards. The naive references always run
 // scalar loops (their only FMA-sensitive piece, dot(), is shared with
 // the blocked kernels), so the allowed blocked-vs-naive gap depends on
-// the ISA: 0 for scalar, a small contraction tolerance for the two
-// fused-multiply-add tiers.
+// the ISA: 0 for scalar, a small contraction tolerance for the fused
+// multiply-add tier.
 class KernelIsaParityTest : public ::testing::TestWithParam<la::kernel_isa> {
 protected:
     void SetUp() override {
@@ -173,10 +173,9 @@ TEST_P(KernelIsaParityTest, GramAgreesWithExplicitTranspose) {
 
 // The fused axpy_dot micro-kernel must match the axpy + dot composition
 // it replaces: exactly under scalar (the scalar body IS the
-// composition), within contraction tolerance under the vector tiers
+// composition), within contraction tolerance under fma256
 // (the fused sweep keeps a fixed reduction order but regroups the dot
-// into 4 accumulators). Odd lengths exercise every remainder path,
-// including the avx512 masked tail.
+// into 4 accumulators). Odd lengths exercise every remainder path.
 TEST_P(KernelIsaParityTest, AxpyDotMatchesComposition) {
     tfd::traffic::rng gen(321);
     for (std::size_t n : {0u, 1u, 3u, 7u, 8u, 9u, 15u, 16u, 17u, 31u, 32u,
@@ -229,8 +228,7 @@ TEST_P(KernelIsaParityTest, MicroKernelsAreDeterministic) {
 
 INSTANTIATE_TEST_SUITE_P(AllIsas, KernelIsaParityTest,
                          ::testing::Values(la::kernel_isa::scalar,
-                                           la::kernel_isa::fma256,
-                                           la::kernel_isa::avx512),
+                                           la::kernel_isa::fma256),
                          [](const auto& info) {
                              return la::kernel_isa_name(info.param);
                          });

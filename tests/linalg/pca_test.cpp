@@ -9,6 +9,7 @@
 
 #include "linalg/matrix.h"
 #include "linalg/stats.h"
+#include "linalg/symmetric_eigen.h"
 
 namespace la = tfd::linalg;
 
@@ -72,23 +73,33 @@ TEST(PcaTest, LowRankDataCapturedByFewComponents) {
 }
 
 TEST(PcaTest, GramTrickMatchesCovariancePath) {
-    // Wide matrix: rows < cols triggers the Gram trick; compare against the
-    // direct covariance eigendecomposition.
+    // Wide matrix: rows < cols makes fit_pca take the Gram trick; compare
+    // against the direct eigendecomposition of the covariance
+    // gram(Xc) / (t - 1), built here from the centered data.
     auto x = low_rank_data(12, 30, 4, 0.3, 11);
-    la::pca_options direct;
-    direct.allow_gram_trick = false;
-    auto p1 = la::fit_pca(x, direct);
-    auto p2 = la::fit_pca(x);  // gram trick path
+    const std::size_t t = x.rows(), n = x.cols();
+    const auto mu = la::column_means(x);
+    la::matrix xc = x;
+    for (std::size_t r = 0; r < t; ++r)
+        for (std::size_t c = 0; c < n; ++c) xc(r, c) -= mu[c];
+    la::matrix cov = la::gram(xc);
+    for (double& v : cov.data()) v /= static_cast<double>(t - 1);
+    const auto eg = la::symmetric_eigen(cov);
+    la::pca_result direct;
+    direct.mean = mu;
+    direct.eigenvalues = eg.values;
+    direct.components = eg.vectors;
+    const auto p = la::fit_pca(x);  // gram trick path
 
     for (std::size_t j = 0; j < 8; ++j)
-        EXPECT_NEAR(p1.eigenvalues[j], p2.eigenvalues[j],
-                    1e-7 * std::max(1.0, p1.eigenvalues[0]));
+        EXPECT_NEAR(direct.eigenvalues[j], p.eigenvalues[j],
+                    1e-7 * std::max(1.0, direct.eigenvalues[0]));
 
     // Residual energies must agree for any observation and any m.
     auto obs = x.row(3);
     for (std::size_t m : {1u, 3u, 5u}) {
-        EXPECT_NEAR(la::squared_prediction_error(p1, obs, m),
-                    la::squared_prediction_error(p2, obs, m), 1e-7);
+        EXPECT_NEAR(la::squared_prediction_error(direct, obs, m),
+                    la::squared_prediction_error(p, obs, m), 1e-7);
     }
 }
 
@@ -143,14 +154,6 @@ TEST(PcaTest, DimensionMismatchThrows) {
     auto p = la::fit_pca(x);
     std::vector<double> bad(4, 0.0);
     EXPECT_THROW(la::project_normal(p, bad, 2), std::invalid_argument);
-}
-
-TEST(PcaTest, NoCenteringKeepsMeanZeroVector) {
-    auto x = low_rank_data(20, 5, 2, 0.5, 3);
-    la::pca_options opts;
-    opts.center = false;
-    auto p = la::fit_pca(x, opts);
-    for (double v : p.mean) EXPECT_EQ(v, 0.0);
 }
 
 // Sweep: components are orthonormal for various shapes.

@@ -1,7 +1,10 @@
 // fit_pca_topk vs fit_pca parity: leading eigenvalues, exact variance /
-// spectrum moments, subspace projectors, both eigenproblem branches
-// (Gram trick for wide data, covariance for tall data), rank-deficient
-// input, and the k >= order/2 fallback.
+// all three spectrum moments, subspace projectors, both eigenproblem
+// branches (Gram trick for wide data, covariance for tall data),
+// rank-deficient input, and the k >= order/2 fallback. The leading
+// eigenvalues and the three moments are every input of
+// subspace_model::q_threshold (subspace_model always fits through
+// fit_pca_topk).
 #include "linalg/pca.h"
 
 #include <gtest/gtest.h>
@@ -35,10 +38,7 @@ double projector_gap(const la::matrix& v, const la::matrix& w) {
 
 void expect_topk_matches_full(const la::matrix& x, std::size_t k,
                               const char* what) {
-    la::pca_options fopts;
-    fopts.full_basis = false;
-    fopts.min_components = k;
-    const auto full = la::fit_pca(x, fopts);
+    const auto full = la::fit_pca(x);
     const auto part = la::fit_pca_topk(x, k);
 
     ASSERT_TRUE(part.partial_spectrum);
@@ -57,6 +57,9 @@ void expect_topk_matches_full(const la::matrix& x, std::size_t k,
         << what;
     EXPECT_NEAR(part.spectrum_moments[1], full.spectrum_moments[1],
                 1e-9 * sc * sc)
+        << what;
+    EXPECT_NEAR(part.spectrum_moments[2], full.spectrum_moments[2],
+                1e-9 * sc * sc * sc)
         << what;
 
     // Subspace parity over the leading axes (projector distance — basis
@@ -107,10 +110,7 @@ TEST(PcaTopkTest, RankDeficientDataCompletesTheBasis) {
     const la::matrix vtv = la::gram(part.components);
     EXPECT_LT(la::max_abs_diff(vtv, la::matrix::identity(6)), 1e-8);
 
-    la::pca_options fopts;
-    fopts.full_basis = false;
-    fopts.min_components = 6;
-    const auto full = la::fit_pca(x, fopts);
+    const auto full = la::fit_pca(x);
     EXPECT_NEAR(part.total_variance, full.total_variance,
                 1e-9 * std::max(1.0, full.total_variance));
 }
