@@ -97,6 +97,24 @@ void bm_pca_fit_topk(benchmark::State& state) {
 }
 BENCHMARK(bm_pca_fit_topk)->Unit(benchmark::kMillisecond);
 
+void bm_pca_fit_topk_geant(benchmark::State& state) {
+    // The online refit's shape at Géant width: a full 576-bin window of
+    // 4 x 484 = 1936 columns, so t < d and the fit takes the Gram trick
+    // (outer_gram, top-k eigensolve of the 576 x 576 Gram, axes
+    // assembled from the centred rows).
+    static const linalg::matrix x = [] {
+        linalg::matrix m(576, 1936);
+        traffic::rng gen(11);
+        for (double& v : m.data()) v = gen.uniform(-1, 1);
+        return m;
+    }();
+    for (auto _ : state) {
+        auto p = linalg::fit_pca_topk(x, 10);
+        benchmark::DoNotOptimize(p.eigenvalues.data());
+    }
+}
+BENCHMARK(bm_pca_fit_topk_geant)->Unit(benchmark::kMillisecond);
+
 void bm_unfold(benchmark::State& state) {
     const auto& d = dataset();
     for (auto _ : state) {

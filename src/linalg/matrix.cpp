@@ -127,23 +127,6 @@ constexpr std::size_t kDepthTile = 64;  // k-tile kept hot in cache
 
 }  // namespace
 
-matrix naive_multiply(const matrix& a, const matrix& b) {
-    if (a.cols() != b.rows())
-        throw std::invalid_argument("multiply: inner dimension mismatch");
-    matrix c(a.rows(), b.cols());
-    const std::size_t n = a.rows(), k_dim = a.cols(), m = b.cols();
-    for (std::size_t i = 0; i < n; ++i) {
-        double* ci = c.row(i).data();
-        for (std::size_t k = 0; k < k_dim; ++k) {
-            const double aik = a(i, k);
-            if (aik == 0.0) continue;
-            const double* bk = b.row(k).data();
-            for (std::size_t j = 0; j < m; ++j) ci[j] += aik * bk[j];
-        }
-    }
-    return c;
-}
-
 matrix multiply(const matrix& a, const matrix& b) {
     if (a.cols() != b.rows())
         throw std::invalid_argument("multiply: inner dimension mismatch");
@@ -153,8 +136,8 @@ matrix multiply(const matrix& a, const matrix& b) {
     // so the touched rows of B stay cache-resident while the row-update
     // micro-kernel accumulates. Tiling k does not reorder the per-element
     // reduction (k still ascends), so under the scalar ISA this matches
-    // naive_multiply bit for bit; under fma256 the same order runs with
-    // fused multiply-adds (tolerance-level parity, see linalg/simd.h).
+    // the naive reference bit for bit; under fma256 the same order runs
+    // with fused multiply-adds (tolerance-level parity, see linalg/simd.h).
     parallel_for_blocked(a.rows(), kRowBlock, [&](std::size_t i0, std::size_t i1) {
         for (std::size_t k0 = 0; k0 < k_dim; k0 += kDepthTile) {
             const std::size_t k1 = std::min(k0 + kDepthTile, k_dim);
@@ -200,24 +183,6 @@ matrix transpose(const matrix& a) {
     return t;
 }
 
-matrix naive_gram(const matrix& a) {
-    // C = A^T A, exploiting symmetry: compute upper triangle, mirror.
-    const std::size_t n = a.cols();
-    matrix c(n, n);
-    for (std::size_t r = 0; r < a.rows(); ++r) {
-        const double* ar = a.row(r).data();
-        for (std::size_t i = 0; i < n; ++i) {
-            const double v = ar[i];
-            if (v == 0.0) continue;
-            double* ci = c.row(i).data();
-            for (std::size_t j = i; j < n; ++j) ci[j] += v * ar[j];
-        }
-    }
-    for (std::size_t i = 0; i < n; ++i)
-        for (std::size_t j = 0; j < i; ++j) c(i, j) = c(j, i);
-    return c;
-}
-
 matrix gram(const matrix& a) {
     const std::size_t n = a.cols();
     matrix c(n, n);
@@ -225,7 +190,8 @@ matrix gram(const matrix& a) {
     // rows of A are streamed in fixed-size r-tiles, each row of C
     // accumulating its tile's rank-1 contributions through the row-update
     // micro-kernel. r still ascends for every (i, j), so the scalar ISA
-    // matches naive_gram bit for bit (fma256: tolerance-level parity).
+    // matches the naive reference bit for bit (fma256: tolerance-level
+    // parity).
     const std::size_t lda = a.cols();
     parallel_for_blocked(n, kRowBlock, [&](std::size_t i0, std::size_t i1) {
         for (std::size_t r0 = 0; r0 < a.rows(); r0 += kDepthTile) {
@@ -241,32 +207,16 @@ matrix gram(const matrix& a) {
     return c;
 }
 
-matrix naive_outer_gram(const matrix& a) {
-    const std::size_t n = a.rows();
-    matrix c(n, n);
-    for (std::size_t i = 0; i < n; ++i) {
-        const auto ri = a.row(i);
-        for (std::size_t j = i; j < n; ++j) {
-            const double v = dot(ri, a.row(j));
-            c(i, j) = v;
-            c(j, i) = v;
-        }
-    }
-    return c;
-}
-
 matrix outer_gram(const matrix& a) {
     const std::size_t n = a.rows();
     matrix c(n, n);
-    // Each task owns upper-triangle rows [i0, i1); every C(i, j) is one
-    // left-to-right dot product, exactly as in naive_outer_gram. The
-    // lower triangle is mirrored serially afterwards so parallel tasks
-    // write strictly disjoint row ranges (no cross-task cache lines).
+    // Each task owns upper-triangle rows [i0, i1) and fills them straight
+    // from A's rows through the register-tiled micro-kernel (no packing,
+    // no transposed copy). The lower triangle is mirrored serially
+    // afterwards so parallel tasks write strictly disjoint row ranges.
     parallel_for_blocked(n, kRowBlock, [&](std::size_t i0, std::size_t i1) {
-        for (std::size_t i = i0; i < i1; ++i) {
-            const auto ri = a.row(i);
-            for (std::size_t j = i; j < n; ++j) c(i, j) = dot(ri, a.row(j));
-        }
+        simd::outer_gram_rows(a.data().data(), n, a.cols(), i0, i1,
+                              c.data().data());
     });
     for (std::size_t i = 0; i < n; ++i)
         for (std::size_t j = 0; j < i; ++j) c(i, j) = c(j, i);

@@ -4,20 +4,20 @@
 // subspace machinery. Row-major storage, value semantics, bounds-checked
 // element access through at(), unchecked through operator().
 //
-// Kernel strategy: multiply / gram / outer_gram are cache-blocked and
-// parallelized over fixed-size row (or output-row) blocks on the shared
-// thread pool (linalg/parallel.h), with the inner loops dispatched to
-// the runtime-selected SIMD tier, scalar or fma256 (linalg/simd.h). Block
-// boundaries and the per-element reduction order are independent of the
-// worker count — multiply sums k ascending, gram sums observation rows
-// ascending, outer_gram dots left to right — so under the scalar ISA
-// results are bit-identical to the naive reference kernels
-// (naive_multiply / naive_gram / naive_outer_gram below). Under the
-// fma256 ISA the identical reduction order runs with fused
-// multiply-adds: still deterministic run-to-run on the same machine,
-// but parity with the scalar reference is tolerance-level for multiply
-// and gram (outer_gram stays bit-identical: both paths share dot()).
-// Parallelism only ever changes wall-clock.
+// Kernel strategy: multiply / gram / outer_gram are parallelized over
+// fixed-size row (or output-row) blocks on the shared thread pool
+// (linalg/parallel.h), with the inner loops dispatched to the
+// runtime-selected SIMD tier, scalar or fma256 (linalg/simd.h).
+// multiply and gram tile the reduction depth so their operand rows stay
+// cache-hot; outer_gram register-blocks row pairs read straight from A.
+// Block boundaries and the per-element reduction order are independent
+// of the worker count — multiply sums k ascending, gram sums
+// observation rows ascending, outer_gram follows simd::outer_gram_rows —
+// so results never depend on the thread count. Under the scalar ISA
+// every kernel is bit-identical to its naive reference
+// (tests/linalg/reference_kernels.h). Under fma256 the same orders run
+// with fused multiply-adds: deterministic run-to-run on the same
+// machine, tolerance-level parity with the references.
 #pragma once
 
 #include <cstddef>
@@ -111,8 +111,7 @@ matrix subtract(const matrix& a, const matrix& b);
 matrix scale(const matrix& a, double s);
 
 /// C = A * B (cache-blocked, parallel over row blocks; k-ascending
-/// reduction order, bit-identical to naive_multiply). Throws on shape
-/// mismatch.
+/// reduction order). Throws on shape mismatch.
 matrix multiply(const matrix& a, const matrix& b);
 
 /// y = A * x. Throws on shape mismatch.
@@ -126,19 +125,13 @@ std::vector<double> multiply_transpose(const matrix& a,
 matrix transpose(const matrix& a);
 
 /// C = A^T * A without forming A^T explicitly (symmetric result;
-/// parallel over output-row blocks, bit-identical to naive_gram).
+/// parallel over output-row blocks; observation rows summed ascending).
 matrix gram(const matrix& a);
 
 /// C = A * A^T without forming A^T explicitly (symmetric result;
-/// parallel over output-row blocks, bit-identical to naive_outer_gram).
+/// parallel over output-row blocks; per-entry order: see
+/// simd::outer_gram_rows).
 matrix outer_gram(const matrix& a);
-
-/// Reference single-threaded kernels. The blocked/parallel kernels above
-/// are required (and tested) to match these bit-for-bit; they exist for
-/// parity tests and as executable documentation of the reduction order.
-matrix naive_multiply(const matrix& a, const matrix& b);
-matrix naive_gram(const matrix& a);
-matrix naive_outer_gram(const matrix& a);
 
 /// Frobenius norm of A.
 double frobenius_norm(const matrix& a) noexcept;

@@ -16,12 +16,11 @@
 //      count. This is the invariant the parity tests pin.
 //   2. Scalar ISA anywhere (a CPU without AVX2+FMA, or
 //      force_kernel_isa(kernel_isa::scalar)): bit-identical to the
-//      naive reference kernels and to every pre-SIMD release.
+//      naive reference kernels (tests/linalg/reference_kernels.h) and
+//      to every pre-SIMD release.
 //   3. fma256 vs scalar: the same reduction order evaluated with fused
 //      multiply-adds; parity with the scalar reference is tolerance-
-//      level (contraction changes rounding, never ordering). Kernels
-//      whose blocked and naive paths share the dispatched dot()
-//      (outer_gram) remain bit-identical to their reference even here.
+//      level (contraction changes rounding, never ordering).
 //
 // Worker count: hardware_concurrency by default, overridable with the
 // TFD_THREADS environment variable (TFD_THREADS=1 forces fully serial

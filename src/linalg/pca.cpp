@@ -72,19 +72,19 @@ void assemble_gram_axes(const matrix& xc, const std::vector<double>& values,
     matrix qt(target, n);
     std::size_t filled = 0;
     if (kept > 0) {
-        const matrix u = u_cols.block(0, 0, t, kept);
-        const matrix v = multiply(transpose(xc), u);  // n x kept
-        std::vector<double> inv_norm(kept, 0.0);
-        for (std::size_t i = 0; i < n; ++i) {
-            const double* vi = v.row(i).data();
-            for (std::size_t j = 0; j < kept; ++j)
-                inv_norm[j] += vi[j] * vi[j];
-        }
+        // The axes come out as rows, V^T = U_kept^T Xc: one blocked
+        // (kept x t)(t x n) product straight from Xc, never a transposed
+        // copy of it.
+        const matrix vt =
+            multiply(transpose(u_cols.block(0, 0, t, kept)), xc);
         for (std::size_t j = 0; j < kept; ++j) {
-            if (inv_norm[j] == 0.0) continue;
-            const double inv = 1.0 / std::sqrt(inv_norm[j]);
+            const double* vj = vt.row(j).data();
+            double ss = 0.0;
+            for (std::size_t i = 0; i < n; ++i) ss += vj[i] * vj[i];
+            if (ss == 0.0) continue;
+            const double inv = 1.0 / std::sqrt(ss);
             double* qrow = qt.row(filled).data();
-            for (std::size_t i = 0; i < n; ++i) qrow[i] = v(i, j) * inv;
+            for (std::size_t i = 0; i < n; ++i) qrow[i] = vj[i] * inv;
             out.eigenvalues[filled] = std::max(values[j], 0.0);
             ++filled;
         }

@@ -1,5 +1,7 @@
 #include "linalg/simd.h"
 
+#include <algorithm>
+
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #define TFD_SIMD_X86 1
 #include <immintrin.h>
@@ -75,6 +77,14 @@ void gemm_row_update_scalar(double* c, const double* a, std::size_t a_stride,
         const double* bt = b + t * b_stride;
         for (std::size_t j = 0; j < width; ++j) c[j] += at * bt[j];
     }
+}
+
+void outer_gram_rows_scalar(const double* a, std::size_t n, std::size_t d,
+                            std::size_t i0, std::size_t i1,
+                            double* c) noexcept {
+    for (std::size_t i = i0; i < i1; ++i)
+        for (std::size_t j = i; j < n; ++j)
+            c[i * n + j] = dot_scalar(a + i * d, a + j * d, d);
 }
 
 // ---------------------------------------------------------------------
@@ -281,6 +291,98 @@ void gemm_row_update_fma(double* c, const double* a, std::size_t a_stride,
     }
 }
 
+// Four 4-lane accumulators to one vector of their sums, each summed as
+// ((l0 + l1) + (l2 + l3)).
+TFD_TARGET_FMA
+inline __m256d lane_sums(__m256d v0, __m256d v1, __m256d v2,
+                         __m256d v3) noexcept {
+    const __m256d h01 = _mm256_hadd_pd(v0, v1);  // v0:l0+l1 v1:l0+l1 v0:l2+l3 v1:l2+l3
+    const __m256d h23 = _mm256_hadd_pd(v2, v3);
+    return _mm256_add_pd(_mm256_permute2f128_pd(h01, h23, 0x20),
+                         _mm256_permute2f128_pd(h01, h23, 0x31));
+}
+
+// One 3 x 4 tile of outer_gram_rows: out[r * ldo + s] = <x[r], y[s]>.
+// 12 accumulators plus 3 row loads and 1 column load fill the 16 ymm
+// registers; each step of 4 columns is 7 loads for 12 FMAs.
+TFD_TARGET_FMA
+inline void outer_gram_tile_fma(const double* const x[3],
+                                const double* const y[4], std::size_t d,
+                                double* out, std::size_t ldo) noexcept {
+    __m256d c00 = _mm256_setzero_pd(), c01 = _mm256_setzero_pd();
+    __m256d c02 = _mm256_setzero_pd(), c03 = _mm256_setzero_pd();
+    __m256d c10 = _mm256_setzero_pd(), c11 = _mm256_setzero_pd();
+    __m256d c12 = _mm256_setzero_pd(), c13 = _mm256_setzero_pd();
+    __m256d c20 = _mm256_setzero_pd(), c21 = _mm256_setzero_pd();
+    __m256d c22 = _mm256_setzero_pd(), c23 = _mm256_setzero_pd();
+    const double *x0 = x[0], *x1 = x[1], *x2 = x[2];
+    const double *y0 = y[0], *y1 = y[1], *y2 = y[2], *y3 = y[3];
+    std::size_t k = 0;
+    for (; k + 4 <= d; k += 4) {
+        const __m256d a0 = _mm256_loadu_pd(x0 + k);
+        const __m256d a1 = _mm256_loadu_pd(x1 + k);
+        const __m256d a2 = _mm256_loadu_pd(x2 + k);
+        __m256d b = _mm256_loadu_pd(y0 + k);
+        c00 = _mm256_fmadd_pd(a0, b, c00);
+        c10 = _mm256_fmadd_pd(a1, b, c10);
+        c20 = _mm256_fmadd_pd(a2, b, c20);
+        b = _mm256_loadu_pd(y1 + k);
+        c01 = _mm256_fmadd_pd(a0, b, c01);
+        c11 = _mm256_fmadd_pd(a1, b, c11);
+        c21 = _mm256_fmadd_pd(a2, b, c21);
+        b = _mm256_loadu_pd(y2 + k);
+        c02 = _mm256_fmadd_pd(a0, b, c02);
+        c12 = _mm256_fmadd_pd(a1, b, c12);
+        c22 = _mm256_fmadd_pd(a2, b, c22);
+        b = _mm256_loadu_pd(y3 + k);
+        c03 = _mm256_fmadd_pd(a0, b, c03);
+        c13 = _mm256_fmadd_pd(a1, b, c13);
+        c23 = _mm256_fmadd_pd(a2, b, c23);
+    }
+    __m256d r0 = lane_sums(c00, c01, c02, c03);
+    __m256d r1 = lane_sums(c10, c11, c12, c13);
+    __m256d r2 = lane_sums(c20, c21, c22, c23);
+    for (; k < d; ++k) {
+        const __m256d b = _mm256_set_pd(y3[k], y2[k], y1[k], y0[k]);
+        r0 = _mm256_fmadd_pd(_mm256_set1_pd(x0[k]), b, r0);
+        r1 = _mm256_fmadd_pd(_mm256_set1_pd(x1[k]), b, r1);
+        r2 = _mm256_fmadd_pd(_mm256_set1_pd(x2[k]), b, r2);
+    }
+    _mm256_storeu_pd(out, r0);
+    _mm256_storeu_pd(out + ldo, r1);
+    _mm256_storeu_pd(out + 2 * ldo, r2);
+}
+
+// The loop runs over 4-row column tiles outermost so the tile's 4 rows
+// of A stay cache-hot while every 3-row tile of the block reuses them.
+// A tile that overhangs the block's last row or A's last row repeats
+// that row, and the surplus results are dropped.
+TFD_TARGET_FMA
+void outer_gram_rows_fma(const double* a, std::size_t n, std::size_t d,
+                         std::size_t i0, std::size_t i1, double* c) noexcept {
+    double edge[3 * 4];
+    for (std::size_t j = i0 & ~std::size_t{3}; j < n; j += 4) {
+        const std::size_t nj = std::min<std::size_t>(4, n - j);
+        const double* y[4];
+        for (std::size_t s = 0; s < 4; ++s)
+            y[s] = a + std::min(j + s, n - 1) * d;
+        for (std::size_t i = i0; i < i1 && i < j + 4; i += 3) {
+            const std::size_t ni = std::min<std::size_t>(3, i1 - i);
+            const double* x[3];
+            for (std::size_t r = 0; r < 3; ++r)
+                x[r] = a + std::min(i + r, i1 - 1) * d;
+            if (ni == 3 && nj == 4) {
+                outer_gram_tile_fma(x, y, d, c + i * n + j, n);
+                continue;
+            }
+            outer_gram_tile_fma(x, y, d, edge, 4);
+            for (std::size_t r = 0; r < ni; ++r)
+                for (std::size_t s = 0; s < nj; ++s)
+                    c[(i + r) * n + j + s] = edge[r * 4 + s];
+        }
+    }
+}
+
 #undef TFD_TARGET_FMA
 
 #endif  // TFD_SIMD_X86
@@ -350,6 +452,15 @@ void gemm_row_update(double* c, const double* a, std::size_t a_stride,
         return gemm_row_update_fma(c, a, a_stride, b, b_stride, depth, width);
 #endif
     gemm_row_update_scalar(c, a, a_stride, b, b_stride, depth, width);
+}
+
+void outer_gram_rows(const double* a, std::size_t n, std::size_t d,
+                     std::size_t i0, std::size_t i1, double* c) noexcept {
+#ifdef TFD_SIMD_X86
+    if (g_isa == kernel_isa::fma256)
+        return outer_gram_rows_fma(a, n, d, i0, i1, c);
+#endif
+    outer_gram_rows_scalar(a, n, d, i0, i1, c);
 }
 
 }  // namespace simd

@@ -85,6 +85,23 @@ void gemm_row_update(double* c, const double* a, std::size_t a_stride,
                      const double* b, std::size_t b_stride, std::size_t depth,
                      std::size_t width) noexcept;
 
+/// Rows [i0, i1) of C = A A^T for the n x d row-major A at `a` and the
+/// n x n row-major C at `c`: c[i * n + j] = sum_k a_i[k] * a_j[k] for
+/// i0 <= i < i1 and every j >= i. Entries left of the diagonal in those
+/// rows may be written too (callers mirror the upper triangle); nothing
+/// outside those rows is.
+///
+/// Per-entry order, on both tiers; it depends on d alone, never on the
+/// thread count: lane l sums the k = l (mod 4) in ascending order, the
+/// lanes combine as ((l0 + l1) + (l2 + l3)), and the d mod 4 tail is
+/// then added, ascending. The scalar body runs it entry by entry,
+/// unfused (the scalar dot()'s order). The fma256 body runs it fused,
+/// from a 3 x 4 register tile of row pairs read straight from A with
+/// one 4-lane accumulator per pair; tests/linalg/reference_kernels.h
+/// restates it as the executable lane_order_dot.
+void outer_gram_rows(const double* a, std::size_t n, std::size_t d,
+                     std::size_t i0, std::size_t i1, double* c) noexcept;
+
 }  // namespace simd
 
 }  // namespace tfd::linalg

@@ -1,13 +1,14 @@
 // Parity test for the online detector's refit: after arbitrary
 // push/evict streams, a refit is the batch fit of the block-normalized
 // window, so its SPE and threshold must equal a from-scratch batch refit
-// of the same window bit for bit.
+// of the same window bit for bit, on both branches of the fit.
 #include "core/online.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <deque>
+#include <string>
 #include <vector>
 
 #include "core/subspace.h"
@@ -77,10 +78,21 @@ batch_reference batch_refit_and_score(
 
 }  // namespace
 
-TEST(OnlineIncrementalTest, RefitMatchesBatchAfterEvictions) {
-    const std::size_t flows = 9;
+// The two branches of the fit: d = 36 below the window (every refit
+// takes the covariance), and d = 96 above it (every refit takes the
+// Gram trick), with a 62-row window off outer_gram's 3 x 4 tile.
+struct refit_shape {
+    const char* name;
+    std::size_t flows;
+    std::size_t window;
+};
+
+class OnlineIncrementalTest : public ::testing::TestWithParam<refit_shape> {};
+
+TEST_P(OnlineIncrementalTest, RefitMatchesBatchAfterEvictions) {
+    const std::size_t flows = GetParam().flows;
     online_options opts;
-    opts.window = 60;
+    opts.window = GetParam().window;
     opts.warmup = 40;
     opts.refit_interval = 1;  // refit every bin: compare at many states
     opts.subspace.normal_dims = 8;
@@ -110,3 +122,9 @@ TEST(OnlineIncrementalTest, RefitMatchesBatchAfterEvictions) {
     }
     EXPECT_GT(compared, 50u);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    FitBranches, OnlineIncrementalTest,
+    ::testing::Values(refit_shape{"covariance", 9, 60},
+                      refit_shape{"gram_trick", 24, 62}),
+    [](const auto& info) { return std::string(info.param.name); });

@@ -1,10 +1,10 @@
 // Tests for the thread pool, the deterministic blocked parallel-for, and
 // parity between the blocked/parallel dense kernels and their naive
-// single-threaded references under both SIMD ISAs: bit-exact under the
-// scalar micro-kernels, tolerance-level under fma256 (fused
-// multiply-adds change rounding but not the reduction order), and
-// bit-exact for outer_gram under either tier (blocked and naive share
-// dot()). The fma256 cases skip cleanly on hardware without AVX2+FMA.
+// single-threaded references (reference_kernels.h) under both SIMD
+// ISAs: bit-exact under the scalar micro-kernels, tolerance-level under
+// fma256 (fused multiply-adds change rounding), where outer_gram is also
+// pinned bit-exactly to reference::lane_order_outer_gram. The fma256
+// cases skip cleanly on hardware without AVX2+FMA.
 #include "linalg/parallel.h"
 
 #include <gtest/gtest.h>
@@ -17,9 +17,11 @@
 
 #include "linalg/matrix.h"
 #include "linalg/simd.h"
+#include "reference_kernels.h"
 #include "traffic/rng.h"
 
 namespace la = tfd::linalg;
+namespace ref = tfd::linalg::reference;
 
 namespace {
 
@@ -38,11 +40,10 @@ double max_abs(const la::matrix& m) {
 }
 
 // Runs the test body once per ISA runnable on this machine, restoring
-// the process default afterwards. The naive references always run
-// scalar loops (their only FMA-sensitive piece, dot(), is shared with
-// the blocked kernels), so the allowed blocked-vs-naive gap depends on
-// the ISA: 0 for scalar, a small contraction tolerance for the fused
-// multiply-add tier.
+// the process default afterwards. The naive references run scalar loops
+// (naive_outer_gram through the dispatched dot()), so the allowed
+// blocked-vs-naive gap depends on the ISA: 0 for scalar, a small
+// contraction tolerance for the fused multiply-add tier.
 class KernelIsaParityTest : public ::testing::TestWithParam<la::kernel_isa> {
 protected:
     void SetUp() override {
@@ -124,7 +125,7 @@ TEST_P(KernelIsaParityTest, MultiplyMatchesNaive) {
         const auto a = random_matrix(n, k, 11u + n);
         const auto b = random_matrix(k, m, 29u + m);
         const auto blocked = la::multiply(a, b);
-        const auto naive = la::naive_multiply(a, b);
+        const auto naive = ref::naive_multiply(a, b);
         EXPECT_LE(la::max_abs_diff(blocked, naive),
                   tol(GetParam(), std::max(1.0, max_abs(naive)), k))
             << n << "x" << k << "x" << m;
@@ -136,23 +137,36 @@ TEST_P(KernelIsaParityTest, GramMatchesNaive) {
                         std::tuple{33u, 130u}, std::tuple{96u, 484u}}) {
         const auto a = random_matrix(t, n, 101u + t);
         const auto blocked = la::gram(a);
-        const auto naive = la::naive_gram(a);
+        const auto naive = ref::naive_gram(a);
         EXPECT_LE(la::max_abs_diff(blocked, naive),
                   tol(GetParam(), std::max(1.0, max_abs(naive)), t))
             << t << "x" << n;
     }
 }
 
-// outer_gram is exact under EVERY ISA: blocked and naive evaluate the
-// identical dot() calls, so whatever dot dispatches to, both sides get
-// the same bits.
-TEST_P(KernelIsaParityTest, OuterGramMatchesNaiveExactly) {
-    for (auto [t, n] : {std::tuple{4u, 10u}, std::tuple{64u, 64u},
-                        std::tuple{130u, 33u}, std::tuple{96u, 484u}}) {
-        const auto a = random_matrix(t, n, 7u + n);
-        EXPECT_EQ(la::max_abs_diff(la::outer_gram(a), la::naive_outer_gram(a)),
-                  0.0)
-            << t << "x" << n;
+// outer_gram over row counts on and off the 3-row register tile and
+// widths on and off the 4-lane step, d < 4 included: bit-exact against
+// naive_outer_gram under scalar; under fma256 bit-exact against
+// lane_order_outer_gram and within contraction tolerance of
+// naive_outer_gram (whose dot() splits the sum 8 ways there).
+TEST_P(KernelIsaParityTest, OuterGramMatchesReferenceExactly) {
+    for (std::size_t t : {1u, 2u, 3u, 4u, 5u, 7u, 13u, 64u, 130u}) {
+        for (std::size_t d : {1u, 3u, 4u, 5u, 31u, 32u, 33u, 484u, 1936u}) {
+            const auto a = random_matrix(t, d, 7u + 131u * t + d);
+            const auto blocked = la::outer_gram(a);
+            const auto naive = ref::naive_outer_gram(a);
+            if (GetParam() == la::kernel_isa::scalar) {
+                EXPECT_EQ(la::max_abs_diff(blocked, naive), 0.0)
+                    << t << "x" << d;
+                continue;
+            }
+            EXPECT_EQ(la::max_abs_diff(blocked, ref::lane_order_outer_gram(a)),
+                      0.0)
+                << t << "x" << d;
+            EXPECT_LE(la::max_abs_diff(blocked, naive),
+                      tol(GetParam(), std::max(1.0, max_abs(naive)), d))
+                << t << "x" << d;
+        }
     }
 }
 
@@ -167,8 +181,8 @@ TEST_P(KernelIsaParityTest, KernelsAreDeterministic) {
 
 TEST_P(KernelIsaParityTest, GramAgreesWithExplicitTranspose) {
     const auto a = random_matrix(40, 70, 5);
-    const auto ref = la::naive_multiply(la::transpose(a), a);
-    EXPECT_LT(la::max_abs_diff(la::gram(a), ref), 1e-12);
+    const auto expected = ref::naive_multiply(la::transpose(a), a);
+    EXPECT_LT(la::max_abs_diff(la::gram(a), expected), 1e-12);
 }
 
 // The fused axpy_dot micro-kernel must match the axpy + dot composition
