@@ -102,25 +102,6 @@ double feature_histogram::count_of(std::uint32_t value) const noexcept {
     return counts_.count_of(value);
 }
 
-void feature_histogram::merge(const feature_histogram& other) {
-    if (other.empty()) return;
-    if (empty()) {
-        // Exact state transfer: the merged histogram is indistinguishable
-        // from the source, incremental accumulator and recompute cadence
-        // included (the shard layer's bit-identity contract).
-        *this = other;
-        return;
-    }
-    counts_.reserve(counts_.size() + other.counts_.size());
-    other.counts_.for_each(
-        [&](std::uint32_t v, double n) { counts_[v] += n; });
-    total_ += other.total_;
-    // The incremental accumulators of the two sides were built against
-    // different intermediate counts; recompute exactly from the combined
-    // table rather than guessing a correction.
-    recompute_sum_nlogn();
-}
-
 void feature_histogram::clear() noexcept {
     counts_.clear();
     total_ = 0.0;
@@ -186,14 +167,6 @@ void feature_histogram_set::add_records(std::span<const flow::flow_record> rs) {
     if (hint > 16)
         for (auto& h : hists_) h.reserve(hint);
     for (const auto& r : rs) add_record(r);
-}
-
-void feature_histogram_set::merge(const feature_histogram_set& other) {
-    for (int f = 0; f < flow::feature_count; ++f)
-        hists_[f].merge(other.hists_[f]);
-    packets_ += other.packets_;
-    bytes_ += other.bytes_;
-    records_ += other.records_;
 }
 
 std::array<double, flow::feature_count> feature_histogram_set::entropies()

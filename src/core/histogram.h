@@ -145,17 +145,6 @@ public:
     /// Raw count of one value (0 if absent).
     double count_of(std::uint32_t value) const noexcept;
 
-    /// Combine another histogram into this one: counts add per value.
-    ///
-    /// Merging into an empty histogram copies `other` exactly (table,
-    /// total, and accumulator state are preserved bit for bit — the
-    /// shard layer relies on this to keep partition→merge results
-    /// identical to the single-threaded accumulation). A genuine
-    /// two-sided merge recomputes the Σ n·log2 n accumulator exactly
-    /// from the combined counts, so merged entropy never inherits
-    /// incremental drift from either side.
-    void merge(const feature_histogram& other);
-
     void clear() noexcept;
 
     /// Pre-size the hash table for about `n` distinct values.
@@ -196,11 +185,6 @@ public:
 
     /// Accumulate a batch (reserves the per-feature tables up front).
     void add_records(std::span<const flow::flow_record> rs);
-
-    /// Combine another cell into this one (per-feature histogram merge
-    /// plus the volume counters). See feature_histogram::merge for the
-    /// empty-target exactness guarantee.
-    void merge(const feature_histogram_set& other);
 
     const feature_histogram& operator[](flow::feature f) const noexcept {
         return hists_[static_cast<int>(f)];

@@ -18,9 +18,6 @@ pipeline_bridge::pipeline_bridge(stream::stream_pipeline& pipeline,
         m_.records_late = &reg->get_counter(
             "tfd_records_late_total",
             "Resolvable records dropped because their bin was already scored");
-        m_.records_reordered = &reg->get_counter(
-            "tfd_records_reordered_total",
-            "Stragglers accepted into a held reorder bin");
         m_.records_dropped_bad_od = &reg->get_counter(
             "tfd_records_dropped_bad_od_total",
             "Records dropped: OD index out of range (broken producer)");
@@ -192,7 +189,6 @@ void pipeline_bridge::sync_metrics() {
     m_.records_in->set_to(pm.records_in);
     m_.records_accumulated->set_to(pm.records_accumulated);
     m_.records_late->set_to(pm.late_records);
-    m_.records_reordered->set_to(pm.records_reordered);
     m_.records_dropped_bad_od->set_to(pm.records_dropped_bad_od);
     m_.drops_unknown_ingress->set_to(pm.resolver_drops.unknown_ingress);
     m_.drops_unresolvable_egress->set_to(pm.resolver_drops.unresolvable_egress);

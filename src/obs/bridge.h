@@ -122,7 +122,6 @@ private:
         counter* records_in = nullptr;
         counter* records_accumulated = nullptr;
         counter* records_late = nullptr;
-        counter* records_reordered = nullptr;
         counter* records_dropped_bad_od = nullptr;
         counter* drops_unknown_ingress = nullptr;
         counter* drops_unresolvable_egress = nullptr;

@@ -269,8 +269,7 @@ variant_score experiment_runner::run_one(const variant_spec& variant) {
             // Delay a deterministic fraction into the next bin's push;
             // by then their bin is closed, so the pipeline late-drops
             // them — reordering beyond the bin boundary IS data loss
-            // for a bin-synchronous consumer (unless reorder_window
-            // holds bins open, which the scenario detector does not).
+            // for a bin-synchronous consumer.
             traffic::rng pick(mix_seed(seed, 0x2E02, bin));
             std::vector<flow::flow_record> now;
             now.reserve(records.size());

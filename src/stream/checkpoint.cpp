@@ -150,10 +150,12 @@ restore_report restore_latest_checkpoint(stream_pipeline& pipeline,
         report.candidates += 1;
         std::optional<io::snapshot_reader> snap;
         try {
-            // Full container validation on the file bytes — nothing in
-            // the pipeline is touched until a candidate passes whole.
+            // Full container validation on the file bytes, then the
+            // section-version gate — nothing in the pipeline is touched
+            // until a candidate passes whole.
             snap.emplace(io::snapshot_reader::load_file(
                 cand.path, pipeline.config_fingerprint()));
+            stream_pipeline::check_section_versions(*snap);
         } catch (const io::snapshot_error& e) {
             switch (e.code()) {
                 case io::snapshot_errc::truncated:

@@ -121,7 +121,8 @@ struct restore_report {
 /// candidates are skipped and counted by cause — a corrupt latest
 /// checkpoint costs `every_bins` of extra replay, not the run.
 ///
-/// Validation happens on the file bytes before any pipeline state is
+/// Validation happens on the file bytes (container, fingerprint, and
+/// every section's payload version) before any pipeline state is
 /// touched, so skipping a bad candidate never taints the pipeline. If
 /// the post-validation restore itself throws (a semantic mismatch a
 /// valid container cannot rule out), that error propagates and the
@@ -135,13 +136,14 @@ restore_report restore_latest_checkpoint(stream_pipeline& pipeline,
 /// continue from whatever the directory already holds). A crash between
 /// writes loses at most `every_bins` bins of progress. Resume by
 /// replaying the stream from exactly `metrics().records_in` records in
-/// — the precise drained position at the checkpoint cut. With reorder
-/// off, replaying from any earlier point is also safe (the open bin is
-/// empty at every observer cut, so the already-scored prefix simply
-/// late-drops); with reorder on it is NOT — a cut taken while a bin is
-/// held open serializes records of the current bin, and re-pushing
-/// those would double-count them. Skip exactly records_in and both
-/// modes resume bit-identically.
+/// — the precise drained position at the checkpoint cut; that resumes
+/// bit-identically. Replaying from an earlier point is safe only while
+/// every replayed record's bin is within `max_gap_bins` of the restored
+/// cursor: the open bin is empty at every observer cut, so such a
+/// prefix is dropped as late (late_records grows by its resolvable
+/// records) and later verdicts match. A replayed record further back is
+/// a backward time-base reset, and the prefix is scored again as a new
+/// era.
 ///
 /// `keep_last` > 0 enables count-based retention: after each successful
 /// write, older checkpoint files beyond the newest keep_last are

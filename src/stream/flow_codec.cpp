@@ -146,10 +146,6 @@ void decode_payload(std::span<const std::uint8_t> payload, std::size_t count,
     }
 }
 
-std::uint64_t fnv1a64(std::span<const std::uint8_t> bytes) noexcept {
-    return io::fnv1a64(bytes);
-}
-
 }  // namespace detail
 
 flow_codec_writer::flow_codec_writer(std::ostream& out, codec_options opts)

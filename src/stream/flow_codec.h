@@ -155,10 +155,6 @@ void decode_payload(std::span<const std::uint8_t> payload, std::size_t count,
                     std::uint64_t base_us,
                     std::vector<flow::flow_record>& out);
 
-/// FNV-1a 64-bit checksum (forwards to io::fnv1a64, kept for source
-/// compatibility with pre-wire-layer callers).
-std::uint64_t fnv1a64(std::span<const std::uint8_t> bytes) noexcept;
-
 }  // namespace detail
 
 /// Buffered frame writer. Writes the file header on construction and one

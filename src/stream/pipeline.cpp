@@ -21,26 +21,21 @@ std::uint64_t now_ns() {
 }
 
 // Section tags of a pipeline snapshot ("PIPE", "SHRD", "DETC" as
-// little-endian fourccs) and their payload versions. PIPE/SHRD moved
-// to v2 when the single held reorder bin became a ring of up to
-// reorder_window_bins held bins (and PIPE grew the quarantine
-// counters); DETC moved to v2 when the detector grew the drift
-// monitor / recalibration state block; PIPE moved to v3 when the
-// metrics block grew records_dropped_bad_od; DETC moved to v3 when the
-// detector stopped maintaining a Gram (the payload lost the Gram upper
-// triangle, the column sums and the exact-rebuild counter). Older
+// little-endian fourccs) and their payload versions. DETC moved to v2
+// when the detector grew the drift monitor / recalibration state block,
+// and to v3 when the detector stopped maintaining a Gram (the payload
+// lost the Gram upper triangle, the column sums and the exact-rebuild
+// counter). PIPE moved to v3 when the metrics block grew
+// records_dropped_bad_od. PIPE v4 and SHRD v3 hold exactly one open
+// bin: the reorder ring's bookkeeping (any_emitted, last_emitted_bin,
+// open_floor, records_reordered) and held-bin list are gone. Older
 // versions are rejected as unsupported_version rather than guessed at.
 constexpr std::uint32_t kTagPipeline = 0x45504950u;
 constexpr std::uint32_t kTagShards = 0x44524853u;
 constexpr std::uint32_t kTagDetector = 0x43544544u;
-constexpr std::uint16_t kVersionPipeline = 3;
-constexpr std::uint16_t kVersionShards = 2;
+constexpr std::uint16_t kVersionPipeline = 4;
+constexpr std::uint16_t kVersionShards = 3;
 constexpr std::uint16_t kVersionDetector = 3;
-
-/// Hard cap on the reorder ring: W held bins cost W open accumulators
-/// of memory and W bins of verdict latency; anything past this is a
-/// misconfiguration, not a workload.
-constexpr std::size_t kMaxReorderWindow = 64;
 
 }  // namespace
 
@@ -52,17 +47,11 @@ stream_pipeline::stream_pipeline(const net::topology& topo,
       detector_(static_cast<std::size_t>(topo.od_count()), opts.online) {
     if (opts.bin_us == 0)
         throw std::invalid_argument("stream_pipeline: bin_us must be > 0");
-    if (opts.reorder_window_bins > kMaxReorderWindow)
-        throw std::invalid_argument(
-            "stream_pipeline: reorder_window_bins must be <= 64");
-    if (opts.reorder_window_bins > opts.max_gap_bins)
-        throw std::invalid_argument(
-            "stream_pipeline: reorder_window_bins must be <= max_gap_bins");
 }
 
-void stream_pipeline::emit_bin(od_shard_set& shards, std::size_t bin) {
+void stream_pipeline::emit_bin(std::size_t bin) {
     const std::uint64_t t0 = now_ns();
-    shards.harvest(scratch_.stats);
+    shards_.harvest(scratch_.stats);
     scratch_.stats.bin = bin;
     if (scratch_.stats.records == 0) ++metrics_.empty_bins;
     scratch_.verdict = detector_.push(scratch_.stats.snapshot);
@@ -73,8 +62,6 @@ void stream_pipeline::emit_bin(od_shard_set& shards, std::size_t bin) {
         opts_.timers->bin_close->record_ns(dt);
     ++metrics_.bins_emitted;
     if (scratch_.verdict.anomalous) ++metrics_.anomalies;
-    last_emitted_bin_ = bin;
-    any_emitted_ = true;
     if (callback_) callback_(scratch_);
 }
 
@@ -86,81 +73,29 @@ void stream_pipeline::emit_bin(od_shard_set& shards, std::size_t bin) {
 // re-emits the observed bin.
 
 void stream_pipeline::close_bin() {
-    // Only valid when nothing is held below the cursor: every bin under
-    // the new cursor position has been emitted.
     const std::size_t closing = current_bin_;
     current_bin_ = closing + 1;
-    open_floor_ = current_bin_;
-    emit_bin(shards_, closing);
+    emit_bin(closing);
 }
 
-od_shard_set stream_pipeline::acquire_set() {
-    if (!set_pool_.empty()) {
-        od_shard_set set = std::move(set_pool_.back());
-        set_pool_.pop_back();
-        return set;
+void stream_pipeline::reset_time_base(std::size_t bin) {
+    // A jump beyond max_gap_bins in either direction is a time-base
+    // discontinuity (see pipeline_options): the open bin is scored as
+    // it stands, no gap bins bridge the jump, and the cursor resumes at
+    // `bin`. A backward reset after finish() has no open bin to score.
+    ++metrics_.time_base_resets;
+    const std::size_t closing = current_bin_;
+    const bool had_open = bin_open_;
+    if (lifecycle_cb_) {
+        lifecycle_event ev;
+        ev.type = lifecycle_event::kind::time_base_reset;
+        ev.from_bin = closing;
+        ev.to_bin = bin;
+        lifecycle_cb_(ev);
     }
-    return od_shard_set(shards_.od_count(), opts_.shards);
-}
-
-od_shard_set* stream_pipeline::find_held(std::size_t bin) {
-    for (held_bin& h : held_)
-        if (h.bin == bin) return &h.set;
-    return nullptr;
-}
-
-od_shard_set* stream_pipeline::retro_open(std::size_t bin) {
-    const auto it = std::lower_bound(
-        held_.begin(), held_.end(), bin,
-        [](const held_bin& h, std::size_t b) { return h.bin < b; });
-    const auto inserted = held_.insert(it, held_bin{bin, acquire_set()});
-    open_floor_ = std::min(open_floor_, bin);
-    return &inserted->set;
-}
-
-void stream_pipeline::emit_pending_below(std::size_t limit) {
-    // Emit, in ascending bin order, every pending bin below `limit`:
-    // held accumulators, and the implicit empty gap bins between them,
-    // so the detector's row-per-bin time base stays gap-complete. The
-    // floor is advanced and the ring popped BEFORE each emission, so an
-    // on_bin observer always sees a resumable cut (see close_bin).
-    while (open_floor_ < limit && open_floor_ < current_bin_) {
-        const std::size_t bin = open_floor_;
-        open_floor_ = bin + 1;
-        od_shard_set set = (!held_.empty() && held_.front().bin == bin)
-                               ? [&] {
-                                     od_shard_set s =
-                                         std::move(held_.front().set);
-                                     held_.erase(held_.begin());
-                                     return s;
-                                 }()
-                               : acquire_set();
-        emit_bin(set, bin);
-        set_pool_.push_back(std::move(set));
-    }
-}
-
-void stream_pipeline::reorder_advance(std::size_t bin) {
-    // The cursor moves forward to `bin`; the window now covers
-    // [bin - W, bin]. Everything that slid below it is emitted
-    // (ascending, gap-complete); the cursor's old bin either joins the
-    // held ring or — when the jump is wider than the window — is
-    // emitted along with the empty bins bridging it to the window edge.
-    const std::size_t w = opts_.reorder_window_bins;
-    const std::size_t low = bin > w ? bin - w : 0;
-    if (current_bin_ < low) {
-        emit_pending_below(current_bin_);
-        close_bin();
-        while (current_bin_ < low) close_bin();
-        current_bin_ = bin;
-        // Bins [low, bin) stay implicit: straggler-eligible, emitted
-        // as empty when the window slides past them.
-    } else {
-        emit_pending_below(low);
-        held_.push_back(held_bin{current_bin_, std::move(shards_)});
-        shards_ = acquire_set();
-        current_bin_ = bin;
-    }
+    current_bin_ = bin;
+    bin_open_ = true;
+    if (had_open) emit_bin(closing);
 }
 
 void stream_pipeline::push(std::span<const flow::flow_record> records) {
@@ -171,6 +106,13 @@ void stream_pipeline::push(std::span<const flow::flow_record> records) {
     // accumulate stage histogram when one is attached.
     std::uint64_t push_accum_ns = 0;
     std::uint64_t t0 = now_ns();
+    // Bin closures are timed separately (bin_close_ns), so the
+    // accumulation clock pauses around them.
+    const auto pause_clock = [&] {
+        const std::uint64_t dt = now_ns() - t0;
+        metrics_.accumulate_ns += dt;
+        push_accum_ns += dt;
+    };
 
     // Process maximal same-bin runs so shard fan-out happens once per
     // run, not once per record. All per-record accounting (records_in,
@@ -188,135 +130,65 @@ void stream_pipeline::push(std::span<const flow::flow_record> records) {
                flow::bin_index(records[j].first_us, opts_.bin_us) == bin)
             ++j;
         const auto run = records.subspan(i, j - i);
-        // A record is late when its bin has already been scored: below
-        // the reorder window (or, with reorder off, behind the
-        // cursor), or — after finish()/run() closed the stream — at or
-        // below the last emitted bin. Late records cannot be replayed
-        // into the model. Only resolvable records count as late;
-        // unresolvable ones are already in resolver_drops, so the
+        // A record is late when its bin has already been scored: behind
+        // the cursor, or — after finish()/run() closed the stream — at
+        // or below the last emitted bin. Late records cannot be
+        // replayed into the model. Only resolvable records count as
+        // late; unresolvable ones are already in resolver_drops, so the
         // counters partition records_in exactly.
-        // A straggler lands in a held bin of the reorder ring — or,
-        // when its bin is inside the window but holds no accumulator
-        // yet and was provably never scored (an implicit empty gap,
-        // stream start, a time-base reset), retroactively opens one:
-        // "late" must mean "already scored", not merely "behind the
-        // cursor".
-        // "Provably never scored": nothing emitted yet, the last
-        // verdict is below this bin (stream start, forward time-base
-        // reset), or the last verdict is unreachably far above it
-        // (backward time-base reset started a new era; bin indices are
-        // era-local, so a bin more than max_gap_bins below every scored
-        // bin has no verdict in this era).
-        od_shard_set* straggler_set = nullptr;
-        if (bin_open_ && bin < current_bin_ &&
-            current_bin_ - bin <= opts_.reorder_window_bins) {
-            straggler_set = find_held(bin);
-            if (!straggler_set &&
-                (!any_emitted_ || last_emitted_bin_ < bin ||
-                 last_emitted_bin_ - bin > opts_.max_gap_bins))
-                straggler_set = retro_open(bin);
-        }
-        const bool straggler = straggler_set != nullptr;
         const bool late =
-            !straggler &&
-            (bin_open_ ? bin < current_bin_
-                       : metrics_.bins_emitted > 0 && bin <= current_bin_);
-        if (late) {
-            // A backward jump beyond max_gap_bins is a time-base
-            // discontinuity, the mirror of the forward case below: one
-            // corrupt far-future timestamp must not poison current_bin_
-            // so badly that the entire remaining (sane) feed gets
-            // late-dropped. Resync instead of dropping.
-            if (current_bin_ - bin > opts_.max_gap_bins) {
-                const std::uint64_t dt = now_ns() - t0;
-                metrics_.accumulate_ns += dt;
-                push_accum_ns += dt;
-                emit_pending_below(current_bin_);
-                ++metrics_.time_base_resets;
-                const std::size_t closing = current_bin_;
-                const bool had_open = bin_open_;
-                if (lifecycle_cb_) {
-                    lifecycle_event ev;
-                    ev.type = lifecycle_event::kind::time_base_reset;
-                    ev.from_bin = closing;
-                    ev.to_bin = bin;
-                    lifecycle_cb_(ev);
-                }
-                current_bin_ = bin;
-                open_floor_ = bin;
-                bin_open_ = true;
-                if (had_open) emit_bin(shards_, closing);
-                t0 = now_ns();
-            } else {
-                resolver_.resolve_batch(run, od_scratch_,
-                                        &metrics_.resolver_drops);
-                for (std::size_t k = 0; k < run.size(); ++k)
-                    if (od_scratch_[k] >= 0) ++metrics_.late_records;
-                metrics_.records_in += run.size();
-                i = j;
-                continue;
-            }
+            bin_open_ ? bin < current_bin_
+                      : metrics_.bins_emitted > 0 && bin <= current_bin_;
+        if (late && current_bin_ - bin <= opts_.max_gap_bins) {
+            resolver_.resolve_batch(run, od_scratch_,
+                                    &metrics_.resolver_drops);
+            for (std::size_t k = 0; k < run.size(); ++k)
+                if (od_scratch_[k] >= 0) ++metrics_.late_records;
+            metrics_.records_in += run.size();
+            i = j;
+            continue;
         }
-        if (!bin_open_) {
+        if (late) {
+            // One corrupt far-future timestamp must not poison
+            // current_bin_ so badly that the entire remaining (sane)
+            // feed gets late-dropped: resync instead of dropping.
+            pause_clock();
+            reset_time_base(bin);
+            t0 = now_ns();
+        } else if (!bin_open_) {
             current_bin_ = bin;
-            open_floor_ = bin;
             bin_open_ = true;
         } else if (bin > current_bin_) {
-            // Bin closures are timed separately (bin_close_ns), so pause
-            // the accumulation clock around them.
-            const std::uint64_t dt = now_ns() - t0;
-            metrics_.accumulate_ns += dt;
-            push_accum_ns += dt;
-            if (bin - current_bin_ > opts_.max_gap_bins) {
-                // Time-base discontinuity: don't spin through an absurd
-                // number of empty harvests (see pipeline_options).
-                emit_pending_below(current_bin_);
-                ++metrics_.time_base_resets;
-                const std::size_t closing = current_bin_;
-                if (lifecycle_cb_) {
-                    lifecycle_event ev;
-                    ev.type = lifecycle_event::kind::time_base_reset;
-                    ev.from_bin = closing;
-                    ev.to_bin = bin;
-                    lifecycle_cb_(ev);
-                }
-                current_bin_ = bin;
-                open_floor_ = bin;
-                emit_bin(shards_, closing);
-            } else {
-                reorder_advance(bin);
-            }
+            pause_clock();
+            if (bin - current_bin_ > opts_.max_gap_bins)
+                reset_time_base(bin);
+            else
+                while (current_bin_ < bin) close_bin();
             t0 = now_ns();
         }
         resolver_.resolve_batch(run, od_scratch_, &metrics_.resolver_drops);
         metrics_.records_in += run.size();
         const std::span<const int> run_ods(od_scratch_.data(), run.size());
-        od_shard_set& target = straggler ? *straggler_set : shards_;
-        const std::uint64_t before = target.pending_records();
-        const std::uint64_t bad0 = target.records_dropped_bad_od();
-        target.accumulate(run, run_ods);
-        const std::uint64_t got = target.pending_records() - before;
+        const std::uint64_t before = shards_.pending_records();
+        const std::uint64_t bad0 = shards_.records_dropped_bad_od();
+        shards_.accumulate(run, run_ods);
         metrics_.records_dropped_bad_od +=
-            target.records_dropped_bad_od() - bad0;
-        metrics_.records_accumulated += got;
-        if (straggler) metrics_.records_reordered += got;
+            shards_.records_dropped_bad_od() - bad0;
+        metrics_.records_accumulated += shards_.pending_records() - before;
         i = j;
     }
-    const std::uint64_t dt = now_ns() - t0;
-    metrics_.accumulate_ns += dt;
-    push_accum_ns += dt;
+    pause_clock();
     if (opts_.timers && opts_.timers->accumulate)
         opts_.timers->accumulate->record_ns(push_accum_ns);
 }
 
 void stream_pipeline::finish() {
-    if (bin_open_) emit_pending_below(current_bin_);
     if (!bin_open_) return;
     // Clear the open flag before emitting so an observer (e.g. a
     // checkpoint) sees the finished state: the emitted bin is the last,
     // and any later record for it is late.
     bin_open_ = false;
-    emit_bin(shards_, current_bin_);
+    emit_bin(current_bin_);
 }
 
 std::size_t stream_pipeline::run(flow_codec_reader& reader) {
@@ -434,7 +306,9 @@ std::uint64_t stream_pipeline::config_fingerprint() const {
     w.varint(shards_.shard_count());  // effective, not the 0 = auto knob
     w.varint(opts_.bin_us);
     w.varint(opts_.max_gap_bins);
-    w.varint(opts_.reorder_window_bins);
+    // The deleted reorder window's byte, pinned at its only value in use
+    // so the fingerprint of an unchanged configuration does not move.
+    w.varint(0);
     const core::online_options& o = opts_.online;
     w.varint(o.window);
     w.varint(o.warmup);
@@ -467,9 +341,6 @@ void stream_pipeline::save_state(io::snapshot_writer& snap) const {
         io::wire_writer w;
         w.varint(current_bin_);
         w.u8(bin_open_ ? 1 : 0);
-        w.u8(any_emitted_ ? 1 : 0);
-        w.varint(last_emitted_bin_);
-        w.varint(open_floor_);
         const pipeline_metrics& m = metrics_;
         w.varint(m.records_in);
         w.varint(m.records_accumulated);
@@ -477,7 +348,6 @@ void stream_pipeline::save_state(io::snapshot_writer& snap) const {
         w.varint(m.resolver_drops.unresolvable_egress);
         w.varint(m.late_records);
         w.varint(m.records_dropped_bad_od);
-        w.varint(m.records_reordered);
         w.varint(m.bins_emitted);
         w.varint(m.empty_bins);
         w.varint(m.time_base_resets);
@@ -494,11 +364,6 @@ void stream_pipeline::save_state(io::snapshot_writer& snap) const {
     {
         io::wire_writer w;
         shards_.save(w);
-        w.varint(held_.size());
-        for (const held_bin& h : held_) {
-            w.varint(h.bin);
-            h.set.save(w);
-        }
         snap.add_section(kTagShards, kVersionShards, w.take());
     }
     {
@@ -508,7 +373,7 @@ void stream_pipeline::save_state(io::snapshot_writer& snap) const {
     }
 }
 
-void stream_pipeline::restore_state(const io::snapshot_reader& snap) {
+void stream_pipeline::check_section_versions(const io::snapshot_reader& snap) {
     const auto expect_version = [&](std::uint32_t tag, std::uint16_t want,
                                     const char* name) {
         const std::uint16_t got = snap.section_version(tag);
@@ -522,13 +387,14 @@ void stream_pipeline::restore_state(const io::snapshot_reader& snap) {
     expect_version(kTagPipeline, kVersionPipeline, "pipeline");
     expect_version(kTagShards, kVersionShards, "shards");
     expect_version(kTagDetector, kVersionDetector, "detector");
+}
+
+void stream_pipeline::restore_state(const io::snapshot_reader& snap) {
+    check_section_versions(snap);
     {
         io::wire_reader r = snap.section(kTagPipeline);
         current_bin_ = static_cast<std::size_t>(r.varint());
         bin_open_ = r.u8() != 0;
-        any_emitted_ = r.u8() != 0;
-        last_emitted_bin_ = static_cast<std::size_t>(r.varint());
-        open_floor_ = static_cast<std::size_t>(r.varint());
         pipeline_metrics& m = metrics_;
         m.records_in = r.varint();
         m.records_accumulated = r.varint();
@@ -538,7 +404,6 @@ void stream_pipeline::restore_state(const io::snapshot_reader& snap) {
             static_cast<std::size_t>(r.varint());
         m.late_records = r.varint();
         m.records_dropped_bad_od = r.varint();
-        m.records_reordered = r.varint();
         m.bins_emitted = r.varint();
         m.empty_bins = r.varint();
         m.time_base_resets = r.varint();
@@ -555,19 +420,6 @@ void stream_pipeline::restore_state(const io::snapshot_reader& snap) {
     {
         io::wire_reader r = snap.section(kTagShards);
         shards_.load(r);
-        const std::size_t held = static_cast<std::size_t>(r.varint());
-        if (held > opts_.reorder_window_bins)
-            r.fail("stream_pipeline: snapshot holds more reorder bins "
-                   "than this pipeline's window");
-        held_.clear();
-        held_.reserve(held);
-        for (std::size_t i = 0; i < held; ++i) {
-            const std::size_t bin = static_cast<std::size_t>(r.varint());
-            if (!held_.empty() && bin <= held_.back().bin)
-                r.fail("stream_pipeline: held reorder bins out of order");
-            held_.push_back(held_bin{bin, acquire_set()});
-            held_.back().set.load(r);
-        }
         r.expect_end();
     }
     {

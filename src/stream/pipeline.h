@@ -75,18 +75,6 @@ public:
         return true;
     }
 
-    /// Non-blocking push; false when full or closed.
-    bool try_push(T item) {
-        {
-            std::unique_lock lock(mu_);
-            if (closed_ || items_.size() >= capacity_) return false;
-            items_.push_back(std::move(item));
-            high_watermark_ = std::max(high_watermark_, items_.size());
-        }
-        item_cv_.notify_one();
-        return true;
-    }
-
     /// Blocks until an item arrives; std::nullopt once closed and empty.
     std::optional<T> pop() {
         std::unique_lock lock(mu_);
@@ -195,17 +183,6 @@ struct pipeline_options {
     /// empty harvests nor poisons the time base so every later sane
     /// record gets late-dropped. Default: one week of 5-minute bins.
     std::size_t max_gap_bins = 2016;
-    /// Opt-in reorder tolerance (0 = off; up to 64 bins of depth). With
-    /// window W, the W bins behind the cursor are held open: bin B is
-    /// only closed and scored once a record of bin B+W+1 arrives, so
-    /// straggler exports within W bins of the cursor are accepted
-    /// (counted in metrics().records_reordered) instead of
-    /// late-dropped. Costs W bins of verdict latency; with no
-    /// stragglers in the stream the emitted bins and verdicts are
-    /// identical to the default path for every W. Must be <=
-    /// max_gap_bins (a straggler inside the window is never a
-    /// time-base discontinuity); values above 64 are rejected.
-    std::size_t reorder_window_bins = 0;
     /// Optional per-stage latency histograms (obs/metrics.h): frame
     /// decode, resolve+accumulate per push, and bin close feed the
     /// corresponding members when non-null. Observability-only — not
@@ -247,12 +224,9 @@ struct pipeline_metrics {
     /// records_in == records_accumulated + late_records +
     /// resolver_drops.total() + records_dropped_bad_od.
     std::uint64_t records_dropped_bad_od = 0;
-    /// Stragglers accepted into a held-open bin (reorder_window_bins
-    /// only; these records are also counted in records_accumulated).
-    std::uint64_t records_reordered = 0;
     std::uint64_t bins_emitted = 0;
     std::uint64_t empty_bins = 0;           ///< gap bins emitted with no records
-    std::uint64_t time_base_resets = 0;     ///< forward jumps > max_gap_bins
+    std::uint64_t time_base_resets = 0;     ///< jumps > max_gap_bins, either way
     std::uint64_t anomalies = 0;
     std::uint64_t accumulate_ns = 0;  ///< resolve + shard accumulation
     std::uint64_t bin_close_ns = 0;   ///< harvest + detector push, total
@@ -353,19 +327,24 @@ public:
 
     /// FNV-1a fingerprint of every configuration knob that changes
     /// serialized-state semantics: OD count, effective shard count, bin
-    /// width, gap/reorder policy, and the full online-detector options.
+    /// width, gap policy, and the full online-detector options.
     /// Perf-only knobs (queue_frames) are excluded — resuming under a
     /// different queue depth is sound. A snapshot restores only into a
     /// pipeline with an equal fingerprint.
     std::uint64_t config_fingerprint() const;
 
     /// Add this pipeline's full state to `snap` as three sections:
-    /// cursor/time-base/metrics, open-bin shard cells (the cursor's bin
-    /// plus every held reorder bin), and the online detector. Bins already
-    /// emitted are NOT re-emitted after restore; everything needed to
-    /// close the open bin(s) and score every later bin bit-identically
-    /// to an uninterrupted run is captured.
+    /// cursor/time-base/metrics, the open bin's shard cells, and the
+    /// online detector. Bins already emitted are NOT re-emitted after
+    /// restore; everything needed to close the open bin and score every
+    /// later bin bit-identically to an uninterrupted run is captured.
     void save_state(io::snapshot_writer& snap) const;
+
+    /// Throws io::snapshot_error{unsupported_version} unless every
+    /// section of `snap` carries the payload version this build reads.
+    /// Touches no state, so a checkpoint scan can reject an old file
+    /// before restoring from it.
+    static void check_section_versions(const io::snapshot_reader& snap);
 
     /// Restore state saved by save_state() into this freshly
     /// constructed pipeline (same topology + options; the checkpoint
@@ -375,26 +354,13 @@ public:
     void restore_state(const io::snapshot_reader& snap);
 
 private:
-    /// One bin of the reorder ring: an accumulator held open behind the
-    /// cursor so stragglers can still land in it.
-    struct held_bin {
-        std::size_t bin;
-        od_shard_set set;
-    };
-
-    void emit_bin(od_shard_set& shards, std::size_t bin);
+    void emit_bin(std::size_t bin);
     void close_bin();
-    // ---- reorder ring (stays empty at reorder_window_bins == 0, where
-    // reorder_advance reduces to closing every bin below the new one) ----
-    od_shard_set acquire_set();
-    od_shard_set* find_held(std::size_t bin);
-    od_shard_set* retro_open(std::size_t bin);
-    void emit_pending_below(std::size_t limit);
-    void reorder_advance(std::size_t bin);
+    void reset_time_base(std::size_t bin);
 
     flow::od_resolver resolver_;
     pipeline_options opts_;
-    od_shard_set shards_;
+    od_shard_set shards_;  ///< the open bin's cells
     core::online_detector detector_;
     std::function<void(const bin_result&)> callback_;
     std::function<void(const lifecycle_event&)> lifecycle_cb_;
@@ -403,29 +369,6 @@ private:
     std::vector<int> od_scratch_;  ///< reused resolve_batch output
     std::size_t current_bin_ = 0;
     bool bin_open_ = false;
-    /// Reorder mode only: bins held open behind the cursor, ascending
-    /// by bin index. Sparse — only bins that actually received records
-    /// (or were once the cursor) carry an accumulator; window bins
-    /// nothing landed in stay implicit and are emitted as empty gap
-    /// bins when the window slides past them.
-    std::vector<held_bin> held_;
-    /// Harvested (empty) shard sets recycled across held bins and
-    /// empty-gap emissions, so a sliding window allocates nothing in
-    /// steady state.
-    std::vector<od_shard_set> set_pool_;
-    /// Lowest bin of the current era that has not been emitted: every
-    /// bin in [open_floor_, current_bin_) is pending — held, or an
-    /// implicit empty gap — and everything below was scored (or
-    /// predates the era). Drives ascending gap-complete emission when
-    /// the window slides.
-    std::size_t open_floor_ = 0;
-    /// Highest-scored-bin bookkeeping for the reorder path: a record
-    /// behind the cursor but inside the window is a straggler (never
-    /// late) as long as its bin was provably never emitted — at stream
-    /// start, and after a time-base reset, bins behind the cursor have
-    /// no verdict yet even though no accumulator is held for them.
-    std::size_t last_emitted_bin_ = 0;
-    bool any_emitted_ = false;
     std::uint64_t last_run_blocked_pushes_ = 0;
 };
 

@@ -129,19 +129,4 @@ void od_shard_set::load(io::wire_reader& r) {
     pending_records_ = pending;
 }
 
-core::feature_histogram_set od_shard_set::merged_cell(int od) const {
-    if (od < 0 || od >= od_count_)
-        throw std::out_of_range("od_shard_set: od out of range");
-    // With OD partitioning exactly one shard holds this cell (the
-    // compact layout reuses local slot od/S for a different OD in every
-    // other shard), so the merge has a single contributor — the exact
-    // empty-target copy. A split-state layout (per-node partial
-    // snapshots combined offline) would merge one such set per instance
-    // instead.
-    core::feature_histogram_set out;
-    out.merge(shards_[shard_of(od)]
-                  .cells[static_cast<std::size_t>(od) / shards_.size()]);
-    return out;
-}
-
 }  // namespace tfd::stream

@@ -15,16 +15,11 @@
 //   * Within a shard, records are accumulated serially in input order,
 //     so the sequence of histogram updates per (OD, feature) cell is
 //     identical to the single-threaded path.
-//   * Harvest reads each cell from its owning shard (the degenerate,
-//     exact form of merge — feature_histogram::merge into an empty
-//     target preserves state bit for bit), so entropies, byte and
-//     packet counts are bit-identical to the batch path for any shard
-//     count. Parallelism only changes wall-clock.
-//
-// merged_cell() exposes the general N-way histogram merge
-// (feature_histogram_set::merge) for callers where one OD's state is
-// genuinely split across set instances, e.g. combining per-node partial
-// snapshots offline.
+//   * Harvest reads each cell from its owning shard, the only shard
+//     that ever held its records, so no cross-shard combination step
+//     exists: entropies, byte and packet counts are bit-identical to
+//     the batch path for any shard count. Parallelism only changes
+//     wall-clock.
 #pragma once
 
 #include <array>
@@ -92,13 +87,6 @@ public:
     std::uint64_t records_dropped_bad_od() const noexcept {
         return dropped_bad_od_;
     }
-
-    /// The merged histograms of one OD cell in the current bin. With
-    /// OD-partitioned shards exactly one shard contributes, so this is
-    /// a bit-exact copy of its state (merge into an empty target);
-    /// split-state layouts would call feature_histogram_set::merge once
-    /// per contributing shard instance.
-    core::feature_histogram_set merged_cell(int od) const;
 
     /// Snapshot hook: the open (un-harvested) bin's state — pending
     /// record count plus every non-empty cell, keyed by OD index in

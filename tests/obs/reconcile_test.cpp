@@ -9,10 +9,10 @@
 //                 + resolver_drops.unresolvable_egress
 //                 + records_dropped_bad_od
 //
-// under every degraded-operation mode at once: reorder stragglers, late
-// drops, resolver drops, empty gap bins, a time-base reset, corrupt-
-// frame quarantine, backpressure, and a crash/restore resume with the
-// event sequence continuing across the restart.
+// under every degraded-operation mode at once: stragglers and other
+// late drops, resolver drops, empty gap bins, a time-base reset,
+// corrupt-frame quarantine, backpressure, and a crash/restore resume
+// with the event sequence continuing across the restart.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -154,7 +154,7 @@ void expect_conservation(const pipeline_metrics& pm) {
 
 }  // namespace
 
-TEST(ObsReconcile, ReorderLateDropsGapAndResetReconcileExactly) {
+TEST(ObsReconcile, LateDropsGapAndResetReconcileExactly) {
     const auto topo = net::topology::abilene();
     const traffic::background_model bg(topo);
 
@@ -162,7 +162,6 @@ TEST(ObsReconcile, ReorderLateDropsGapAndResetReconcileExactly) {
     opts.shards = 2;
     opts.online = small_online();
     opts.online.alpha = 0.5;  // permissive threshold: anomalies do occur
-    opts.reorder_window_bins = 2;
     opts.max_gap_bins = 20;
 
     stream_pipeline p(topo, opts);
@@ -177,8 +176,8 @@ TEST(ObsReconcile, ReorderLateDropsGapAndResetReconcileExactly) {
     };
     const auto push_bin = [&](std::size_t b) { push(gen_bin(bg, b)); };
 
-    // Bins 0..4 in order, then stragglers for bin 3 (held open by the
-    // reorder window) land behind the cursor.
+    // Bins 0..4 in order, then stragglers for bin 3, already scored,
+    // land behind the cursor and are dropped as late.
     for (std::size_t b = 0; b <= 4; ++b) push_bin(b);
     const auto stragglers = gen_bin(bg, 3);
     push(stragglers);
@@ -188,7 +187,8 @@ TEST(ObsReconcile, ReorderLateDropsGapAndResetReconcileExactly) {
     push_bin(6);
     for (std::size_t b = 8; b <= 11; ++b) push_bin(b);
 
-    // Late records: bin 0 closed long ago, far outside the window.
+    // More late records: bin 0 closed long ago, still within
+    // max_gap_bins of the cursor (so not a time-base reset).
     const auto late = gen_bin(bg, 0);
     push(late);
 
@@ -211,10 +211,9 @@ TEST(ObsReconcile, ReorderLateDropsGapAndResetReconcileExactly) {
     // The conservation invariant, with every degraded path populated.
     expect_conservation(pm);
     EXPECT_EQ(pm.records_in, pushed);
-    EXPECT_EQ(pm.late_records, late.size());
+    EXPECT_EQ(pm.late_records, stragglers.size() + late.size());
     EXPECT_EQ(pm.resolver_drops.unknown_ingress, 1u);
     EXPECT_EQ(pm.resolver_drops.unresolvable_egress, 1u);
-    EXPECT_EQ(pm.records_reordered, stragglers.size());
     EXPECT_EQ(pm.empty_bins, 1u);            // the gap at bin 7
     EXPECT_EQ(pm.time_base_resets, 1u);      // 11 -> 40
     EXPECT_EQ(pm.bins_emitted, 14u);         // 0..11 plus 40, 41
@@ -261,8 +260,6 @@ TEST(ObsReconcile, ReorderLateDropsGapAndResetReconcileExactly) {
               pm.records_accumulated);
     EXPECT_EQ(counter_value(h.registry, "tfd_records_late_total"),
               pm.late_records);
-    EXPECT_EQ(counter_value(h.registry, "tfd_records_reordered_total"),
-              pm.records_reordered);
     EXPECT_EQ(counter_value(h.registry, "tfd_records_dropped_bad_od_total"),
               pm.records_dropped_bad_od);
     EXPECT_EQ(counter_value(h.registry,

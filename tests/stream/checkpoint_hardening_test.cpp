@@ -215,6 +215,35 @@ TEST(CheckpointHardeningTest, RestoreLatestDistinguishesConfigMismatch) {
     EXPECT_TRUE(report.restored_path.empty());
     EXPECT_EQ(report.mismatched_skipped, report.candidates);
     EXPECT_GT(report.candidates, 0u);
+
+    // A newest file written by an older build: intact container, same
+    // config, but a "PIPE" section at v3. The scan must skip it as
+    // mismatched and restore the older current-version file, not throw.
+    ASSERT_EQ(checkpoint_files(dir.path),
+              (std::vector<std::string>{"checkpoint-000000.tfss",
+                                        "checkpoint-000001.tfss"}));
+    const std::string newest = (dir.path / "checkpoint-000001.tfss").string();
+    {
+        constexpr std::uint32_t kPipeline = 0x45504950u;  // "PIPE"
+        stream_pipeline same(topo, make_opts(2));
+        const std::uint64_t fp = same.config_fingerprint();
+        const auto snap = io::snapshot_reader::load_file(newest, fp);
+        io::snapshot_writer old(fp);
+        for (const std::uint32_t tag : {kPipeline, 0x44524853u, 0x43544544u}) {
+            io::wire_reader r = snap.section(tag);
+            const std::uint16_t version =
+                tag == kPipeline ? 3 : snap.section_version(tag);
+            old.add_section(tag, version, r.bytes(r.remaining()));
+        }
+        old.save_file(newest);
+    }
+    stream_pipeline same(topo, make_opts(2));
+    const auto fallback = restore_latest_checkpoint(same, dir.path.string());
+    EXPECT_EQ(fallback.restored_path,
+              (dir.path / "checkpoint-000000.tfss").string());
+    EXPECT_EQ(fallback.candidates, 2u);
+    EXPECT_EQ(fallback.mismatched_skipped, 1u);
+    EXPECT_EQ(same.metrics().bins_emitted, 2u);
 }
 
 TEST(CheckpointHardeningTest, RestoreLatestOnEmptyOrMissingDirIsCleanMiss) {

@@ -87,7 +87,6 @@ void expect_counters_identical(const pipeline_metrics& got,
     EXPECT_EQ(got.resolver_drops.unresolvable_egress,
               want.resolver_drops.unresolvable_egress);
     EXPECT_EQ(got.late_records, want.late_records);
-    EXPECT_EQ(got.records_reordered, want.records_reordered);
     EXPECT_EQ(got.bins_emitted, want.bins_emitted);
     EXPECT_EQ(got.empty_bins, want.empty_bins);
     EXPECT_EQ(got.time_base_resets, want.time_base_resets);
@@ -206,39 +205,6 @@ TEST(CheckpointTest, CheckpointFromOnBinObserverResumesExactly) {
     expect_counters_identical(p.metrics(), ref_metrics);
 }
 
-TEST(CheckpointTest, ResumeWithReorderBufferIsBitIdentical) {
-    // Checkpoint while a bin is held open for stragglers: both open
-    // bins' cells must travel.
-    const auto topo = net::topology::abilene();
-    const traffic::background_model bg(topo);
-    const auto stream = make_stream(bg, 10);
-    auto opts = make_opts(2);
-    opts.reorder_window_bins = 1;
-    pipeline_metrics ref_metrics;
-    const auto ref = run_uninterrupted(topo, opts, stream, &ref_metrics);
-
-    const temp_dir dir;
-    const std::string path = (dir.path / "ckpt.tfss").string();
-    const std::size_t split = stream.size() / 2;
-    std::vector<bin_result> got;
-    {
-        stream_pipeline p(topo, opts);
-        p.on_bin([&](const bin_result& r) { got.push_back(r); });
-        p.push(std::span(stream).first(split));
-        save_checkpoint(p, path);
-    }
-    stream_pipeline p(topo, opts);
-    restore_checkpoint(p, path);
-    p.on_bin([&](const bin_result& r) { got.push_back(r); });
-    p.push(std::span(stream).subspan(split));
-    p.finish();
-
-    ASSERT_EQ(got.size(), ref.size());
-    for (std::size_t b = 0; b < ref.size(); ++b)
-        expect_bins_identical(got[b], ref[b]);
-    expect_counters_identical(p.metrics(), ref_metrics);
-}
-
 TEST(CheckpointTest, CorruptTruncatedBumpedOrMismatchedSnapshotsFailDistinctly) {
     const auto topo = net::topology::abilene();
     const traffic::background_model bg(topo);
@@ -308,11 +274,12 @@ TEST(CheckpointTest, CorruptTruncatedBumpedOrMismatchedSnapshotsFailDistinctly) 
     }
 }
 
-TEST(CheckpointTest, DetectorSectionV2IsRejectedAsUnsupported) {
-    // DETC v3 dropped the maintained Gram and column sums from the
-    // detector payload. A file that is intact in every other respect
-    // but carries a v2 detector section must be refused by the
-    // per-section version gate, never decoded as a v3 payload.
+TEST(CheckpointTest, OldSectionVersionsAreRejectedAsUnsupported) {
+    // PIPE v4 and SHRD v3 dropped the reorder ring's bookkeeping and
+    // held bins; DETC v3 dropped the maintained Gram and column sums. A
+    // file that is intact in every other respect but carries one older
+    // section must be refused by the per-section version gate, never
+    // decoded as a current payload.
     const auto topo = net::topology::abilene();
     const traffic::background_model bg(topo);
     const auto stream = make_stream(bg, 6);
@@ -324,26 +291,46 @@ TEST(CheckpointTest, DetectorSectionV2IsRejectedAsUnsupported) {
     src.save_state(current);
     const io::snapshot_reader valid(current.serialize(), fp);
 
+    constexpr std::uint32_t kPipeline = 0x45504950u;  // "PIPE"
+    constexpr std::uint32_t kShards = 0x44524853u;    // "SHRD"
     constexpr std::uint32_t kDetector = 0x43544544u;  // "DETC"
-    ASSERT_EQ(valid.section_version(kDetector), 3);
-    io::snapshot_writer downgraded(fp);
-    for (const std::uint32_t tag : {0x45504950u, 0x44524853u, kDetector}) {
-        io::wire_reader r = valid.section(tag);
-        const std::uint16_t version =
-            tag == kDetector ? 2 : valid.section_version(tag);
-        downgraded.add_section(tag, version, r.bytes(r.remaining()));
-    }
-    const temp_dir dir;
-    const std::string path = (dir.path / "detc-v2.tfss").string();
-    downgraded.save_file(path);
+    EXPECT_EQ(valid.section_version(kPipeline), 4);
+    EXPECT_EQ(valid.section_version(kShards), 3);
+    EXPECT_EQ(valid.section_version(kDetector), 3);
 
-    stream_pipeline dst(topo, opts);
-    try {
-        restore_checkpoint(dst, path);
-        FAIL() << "a v2 detector section was restored";
-    } catch (const io::snapshot_error& e) {
-        EXPECT_EQ(e.code(), io::snapshot_errc::unsupported_version)
-            << e.what();
+    const temp_dir dir;
+    const std::string path = (dir.path / "old-section.tfss").string();
+    // Rewrite `path` with the current payloads, `old_tag` relabelled as
+    // `old_version`.
+    const auto save_with = [&](std::uint32_t old_tag,
+                               std::uint16_t old_version) {
+        io::snapshot_writer w(fp);
+        for (const std::uint32_t tag : {kPipeline, kShards, kDetector}) {
+            io::wire_reader r = valid.section(tag);
+            w.add_section(tag,
+                          tag == old_tag ? old_version
+                                         : valid.section_version(tag),
+                          r.bytes(r.remaining()));
+        }
+        w.save_file(path);
+    };
+    const struct {
+        std::uint32_t tag;
+        std::uint16_t version;
+    } old_sections[] = {{kPipeline, 3}, {kShards, 2}, {kDetector, 2}};
+    for (const auto& old : old_sections) {
+        SCOPED_TRACE(testing::Message()
+                     << "tag " << std::hex << old.tag << " v" << std::dec
+                     << old.version);
+        save_with(old.tag, old.version);
+        stream_pipeline dst(topo, opts);
+        try {
+            restore_checkpoint(dst, path);
+            ADD_FAILURE() << "an old section version was restored";
+        } catch (const io::snapshot_error& e) {
+            EXPECT_EQ(e.code(), io::snapshot_errc::unsupported_version)
+                << e.what();
+        }
     }
 
     // The same payloads under the current versions restore cleanly.

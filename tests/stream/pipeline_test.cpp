@@ -438,11 +438,11 @@ TEST(StreamPipelineTest, RecoversWhenSaneRecordsFollowAGarbageTimestamp) {
     EXPECT_EQ(results[3].stats.records, 1u);
 }
 
-TEST(BoundedQueueTest, FifoCloseAndTryPush) {
+TEST(BoundedQueueTest, FifoAndClose) {
     bounded_queue<int> q(2);
-    EXPECT_TRUE(q.try_push(1));
-    EXPECT_TRUE(q.try_push(2));
-    EXPECT_FALSE(q.try_push(3));  // full
+    EXPECT_TRUE(q.push(1));
+    EXPECT_TRUE(q.push(2));
+    EXPECT_EQ(q.blocked_pushes(), 0u);
     EXPECT_EQ(q.high_watermark(), 2u);
     EXPECT_EQ(*q.pop(), 1);
     EXPECT_EQ(*q.pop(), 2);
@@ -453,7 +453,7 @@ TEST(BoundedQueueTest, FifoCloseAndTryPush) {
 
 TEST(BoundedQueueTest, PushBlocksWhenFullUntilPopped) {
     bounded_queue<int> q(1);
-    ASSERT_TRUE(q.try_push(1));
+    ASSERT_TRUE(q.push(1));
 
     std::atomic<bool> pushed{false};
     std::thread producer([&] {
@@ -475,7 +475,7 @@ TEST(BoundedQueueTest, PushBlocksWhenFullUntilPopped) {
 
 TEST(BoundedQueueTest, CloseUnblocksProducer) {
     bounded_queue<int> q(1);
-    ASSERT_TRUE(q.try_push(1));
+    ASSERT_TRUE(q.push(1));
     std::thread producer([&] { EXPECT_FALSE(q.push(2)); });
     for (int spin = 0; spin < 1000 && q.blocked_pushes() == 0; ++spin)
         std::this_thread::sleep_for(std::chrono::milliseconds(1));

@@ -86,27 +86,6 @@ TEST(OdShardSetTest, HarvestResetsCells) {
             EXPECT_EQ(stats.snapshot.entropies[f][od], 0.0);
 }
 
-TEST(OdShardSetTest, MergedCellMatchesReference) {
-    const auto topo = net::topology::abilene();
-    const traffic::background_model bg(topo);
-    od_shard_set set(topo.od_count(), 4);
-    const auto s = bin_stream(bg, 7);
-    set.accumulate(s.records, s.ods);
-
-    const int od = 40;
-    core::feature_histogram_set ref;
-    ref.add_records(bg.generate(7, od));
-    const auto cell = set.merged_cell(od);
-    EXPECT_EQ(cell.total_packets(), ref.total_packets());
-    EXPECT_EQ(cell.total_bytes(), ref.total_bytes());
-    EXPECT_EQ(cell.total_records(), ref.total_records());
-    for (int f = 0; f < flow::feature_count; ++f) {
-        const auto feat = static_cast<flow::feature>(f);
-        EXPECT_EQ(cell[feat].entropy_bits(), ref[feat].entropy_bits());
-        EXPECT_EQ(cell[feat].distinct(), ref[feat].distinct());
-    }
-}
-
 TEST(OdShardSetTest, SkipsUnresolvedRecords) {
     const auto topo = net::topology::abilene();
     od_shard_set set(topo.od_count(), 2);
@@ -150,5 +129,4 @@ TEST(OdShardSetTest, RejectsDegenerateArguments) {
     std::vector<flow::flow_record> records(2);
     std::vector<int> ods(1);
     EXPECT_THROW(set.accumulate(records, ods), std::invalid_argument);
-    EXPECT_THROW(set.merged_cell(10), std::out_of_range);
 }
