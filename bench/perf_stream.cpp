@@ -1,14 +1,19 @@
 // perf_stream — google-benchmark microbenchmarks for the tfd::stream
-// ingest path: codec encode/decode, sharded OD accumulation at several
-// shard counts, and the end-to-end bin-synchronous pipeline (ingest
-// throughput in records/s and per-bin close latency).
+// ingest path: codec encode/decode, egress resolution, sharded OD
+// accumulation at several shard counts on plain and anonymized records,
+// and the end-to-end bin-synchronous pipeline (ingest throughput in
+// records/s and per-bin close latency).
 //
 // Recorded into BENCH_core.json alongside perf_core by
 // scripts/bench_to_json.py (the bench_json target runs both binaries).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <span>
 #include <sstream>
+#include <vector>
 
+#include "flow/anonymizer.h"
 #include "flow/od_aggregator.h"
 #include "linalg/simd.h"
 #include "net/topology.h"
@@ -81,24 +86,104 @@ void bm_stream_codec_decode(benchmark::State& state) {
 }
 BENCHMARK(bm_stream_codec_decode)->Unit(benchmark::kMillisecond);
 
-void bm_stream_shard_accumulate(benchmark::State& state) {
-    static const auto records = bin_stream(10);
-    static const flow::od_resolver resolver(abilene());
+// The day stream as a perfbench spool feeds it: each bin sorted by
+// first_us (the order a collector exports in) and cut into frames of
+// 2048 records, no frame spanning two bins. The anonymized copy zeroes
+// the low 11 bits of every address, as Abilene's public feed does
+// (paper §5); the plain one keeps them. Both resolve to the same ODs.
+struct spool_frame {
+    std::size_t begin = 0;
+    std::size_t end = 0;
+    bool closes_bin = false;  ///< last frame of its bin
+};
+
+struct spool {
+    std::vector<flow::flow_record> records;
     std::vector<int> ods;
-    resolver.resolve_batch(records, ods);
+    std::vector<spool_frame> frames;
+};
+
+spool make_spool(bool anonymized) {
+    constexpr std::size_t kFrame = 2048;
+    spool s;
+    for (std::size_t bin = 0; bin < 16; ++bin) {
+        auto b = bin_stream(bin);
+        std::stable_sort(b.begin(), b.end(),
+                         [](const flow::flow_record& x,
+                            const flow::flow_record& y) {
+                             return x.first_us < y.first_us;
+                         });
+        if (anonymized) flow::anonymizer(11).apply(b);
+        const std::size_t base = s.records.size();
+        for (std::size_t at = 0; at < b.size(); at += kFrame) {
+            const std::size_t end = std::min(at + kFrame, b.size());
+            s.frames.push_back({base + at, base + end, end == b.size()});
+        }
+        s.records.insert(s.records.end(), b.begin(), b.end());
+    }
+    flow::od_resolver(abilene()).resolve_batch(s.records, s.ods);
+    return s;
+}
+
+const spool& spool_of(bool anonymized) {
+    static const spool plain = make_spool(false);
+    static const spool anon = make_spool(true);
+    return anonymized ? anon : plain;
+}
+
+// Shard accumulation as the pipeline drives it from a spool: one
+// accumulate() per frame, one harvest() per bin.
+void shard_accumulate(benchmark::State& state, const spool& s) {
+    const std::span<const flow::flow_record> records(s.records);
+    const std::span<const int> ods(s.ods);
     stream::od_shard_set shards(abilene().od_count(),
                                 static_cast<std::size_t>(state.range(0)));
     stream::bin_statistics stats;
     for (auto _ : state) {
-        shards.accumulate(records, ods);
-        shards.harvest(stats);
+        for (const spool_frame& f : s.frames) {
+            const std::size_t n = f.end - f.begin;
+            shards.accumulate(records.subspan(f.begin, n),
+                              ods.subspan(f.begin, n));
+            if (f.closes_bin) shards.harvest(stats);
+        }
         benchmark::DoNotOptimize(stats.snapshot.entropies[0].data());
     }
     state.SetItemsProcessed(state.iterations() *
                             static_cast<int64_t>(records.size()));
 }
+
+void bm_stream_shard_accumulate(benchmark::State& state) {
+    shard_accumulate(state, spool_of(false));
+}
 BENCHMARK(bm_stream_shard_accumulate)->Arg(1)->Arg(2)->Arg(4)
-    ->Unit(benchmark::kMicrosecond);
+    ->Unit(benchmark::kMillisecond);
+
+// The same records anonymized. CI gates its /1 against the plain /1
+// with --compare: the count table must spread keys whose low bits are
+// all zero as well as any others.
+void bm_stream_shard_accumulate_anon(benchmark::State& state) {
+    shard_accumulate(state, spool_of(true));
+}
+BENCHMARK(bm_stream_shard_accumulate_anon)->Arg(1)->Arg(2)->Arg(4)
+    ->Unit(benchmark::kMillisecond);
+
+// Egress resolution of the anonymized spool, one resolve_batch() per
+// frame, as the pipeline calls it.
+void bm_od_resolve(benchmark::State& state) {
+    const spool& s = spool_of(true);
+    const std::span<const flow::flow_record> records(s.records);
+    const flow::od_resolver resolver(abilene());
+    std::vector<int> ods;
+    for (auto _ : state) {
+        for (const spool_frame& f : s.frames)
+            resolver.resolve_batch(records.subspan(f.begin, f.end - f.begin),
+                                   ods);
+        benchmark::DoNotOptimize(ods.data());
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<int64_t>(records.size()));
+}
+BENCHMARK(bm_od_resolve)->Unit(benchmark::kMillisecond);
 
 // End-to-end ingest: codec stream -> queue -> shards -> detector.
 // items_per_second is the acceptance metric (records/s); per-bin close

@@ -18,10 +18,19 @@ namespace tfd::net {
 /// Longest-prefix-match table from IPv4 prefixes to integer route targets
 /// (PoP ids here, but the value type is an opaque int).
 ///
-/// Implementation: one hash map per prefix length, probed from /32 down to
-/// /0. Insertion replaces an existing identical prefix.
+/// Implementation: one hash map per prefix length records the routes
+/// (exact(), erase(), entries()). Beside them, a 65,536-entry array
+/// indexed by an address's top 16 bits holds, for each /16, the target
+/// and length of the longest route of length <= 16 that covers it;
+/// insert() and erase() keep it current (512 KiB per table). lookup()
+/// probes the maps of routes longer than /16 first, from /32 down, only
+/// while any exist, then reads the array, so a table of /8 and /16
+/// routes (every topology's egress table) answers with one load.
+/// Insertion replaces an existing identical prefix.
 class prefix_table {
 public:
+    prefix_table();
+
     /// Add (or replace) a route. Throws std::invalid_argument via prefix
     /// validation if the prefix is malformed.
     void insert(const prefix& p, int target);
@@ -43,8 +52,17 @@ public:
     std::vector<std::pair<prefix, int>> entries() const;
 
 private:
+    /// The longest route of length <= 16 covering one /16 (none when
+    /// length < 0).
+    struct short_route {
+        int target = 0;
+        int length = -1;
+    };
+
     // maps_[len]: network address -> target for prefixes of that length.
     std::unordered_map<std::uint32_t, int> maps_[33];
+    std::vector<short_route> by16_;  ///< indexed by an address's top 16 bits
+    std::size_t long_routes_ = 0;    ///< routes longer than /16
     std::size_t count_ = 0;
 };
 

@@ -82,7 +82,7 @@ void stream_pipeline::reset_time_base(std::size_t bin) {
     // A jump beyond max_gap_bins in either direction is a time-base
     // discontinuity (see pipeline_options): the open bin is scored as
     // it stands, no gap bins bridge the jump, and the cursor resumes at
-    // `bin`. A backward reset after finish() has no open bin to score.
+    // `bin`. A reset after finish() has no open bin to score.
     ++metrics_.time_base_resets;
     const std::size_t closing = current_bin_;
     const bool had_open = bin_open_;
@@ -136,9 +136,9 @@ void stream_pipeline::push(std::span<const flow::flow_record> records) {
         // replayed into the model. Only resolvable records count as
         // late; unresolvable ones are already in resolver_drops, so the
         // counters partition records_in exactly.
+        const bool started = bin_open_ || metrics_.bins_emitted > 0;
         const bool late =
-            bin_open_ ? bin < current_bin_
-                      : metrics_.bins_emitted > 0 && bin <= current_bin_;
+            bin_open_ ? bin < current_bin_ : started && bin <= current_bin_;
         if (late && current_bin_ - bin <= opts_.max_gap_bins) {
             resolver_.resolve_batch(run, od_scratch_,
                                     &metrics_.resolver_drops);
@@ -155,15 +155,23 @@ void stream_pipeline::push(std::span<const flow::flow_record> records) {
             pause_clock();
             reset_time_base(bin);
             t0 = now_ns();
-        } else if (!bin_open_) {
+        } else if (!started) {
             current_bin_ = bin;
             bin_open_ = true;
         } else if (bin > current_bin_) {
+            // After finish() the stream continues where it stopped: the
+            // bins between the last emitted one and `bin` are bridged or
+            // reset exactly as if that bin had still been open.
             pause_clock();
-            if (bin - current_bin_ > opts_.max_gap_bins)
+            if (bin - current_bin_ > opts_.max_gap_bins) {
                 reset_time_base(bin);
-            else
+            } else {
+                if (!bin_open_) {
+                    ++current_bin_;
+                    bin_open_ = true;
+                }
                 while (current_bin_ < bin) close_bin();
+            }
             t0 = now_ns();
         }
         resolver_.resolve_batch(run, od_scratch_, &metrics_.resolver_drops);

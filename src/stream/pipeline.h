@@ -311,7 +311,12 @@ public:
     /// consumed; rethrows codec errors on this thread.
     std::size_t run(flow_codec_reader& reader);
 
-    /// Close the currently open bin (if any) and emit it.
+    /// Close the currently open bin (if any) and emit it. A later push()
+    /// continues the same stream: a record of a later bin gets the gap
+    /// bins or the time-base reset it would have got had the closed bin
+    /// stayed open, and a record of the closed bin or an earlier one is
+    /// late. So draining several readers in turn gives the detector one
+    /// row per bin.
     void finish();
 
     const pipeline_metrics& metrics() const noexcept { return metrics_; }

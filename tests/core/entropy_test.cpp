@@ -2,7 +2,11 @@
 // its boundary behaviour.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <set>
+#include <vector>
 
 #include "core/histogram.h"
 
@@ -140,6 +144,41 @@ TEST(HistogramTest, CountOfAndClear) {
     h.clear();
     EXPECT_TRUE(h.empty());
     EXPECT_EQ(h.count_of(5), 0.0);
+}
+
+// The Abilene feed zeroes the low 11 bits of every address (paper §5).
+// The count table must still spread such keys over its home slots; a
+// hash read from the product's low bits sends every one of them to slot
+// 0, and an insert then walks the whole run of earlier keys.
+TEST(FlatCountsTest, AnonymizedKeysSpreadOverHomeSlots) {
+    detail::flat_u32_counts t;
+    t.reserve(96);
+    ASSERT_EQ(t.capacity(), 128u);
+    // 48 consecutive /21 blocks, then 48 scattered ones.
+    std::vector<std::uint32_t> keys;
+    for (std::uint32_t i = 0; i < 48; ++i)
+        keys.push_back((10u << 24) + (i << 11));
+    std::uint64_t x = 12345;
+    while (keys.size() < 96) {
+        x = x * 6364136223846793005ull + 1442695040888963407ull;
+        const auto k = static_cast<std::uint32_t>(x >> 32) & ~0x7FFu;
+        if (std::find(keys.begin(), keys.end(), k) == keys.end())
+            keys.push_back(k);
+    }
+    std::set<std::size_t> homes;
+    for (const std::uint32_t k : keys) {
+        t[k] = 1.0;
+        homes.insert(t.home_slot(k));
+    }
+    ASSERT_EQ(t.capacity(), 128u);  // 96 keys fit without growing
+    EXPECT_EQ(t.size(), 96u);
+    double probes = 0.0;
+    for (const std::uint32_t k : keys) {
+        EXPECT_EQ(t.count_of(k), 1.0);
+        probes += static_cast<double>(t.probe_length(k));
+    }
+    EXPECT_GE(homes.size(), 48u);
+    EXPECT_LT(probes / static_cast<double>(keys.size()), 3.0);
 }
 
 // Entropy grows with sample size for a fixed heavy-tailed source — the

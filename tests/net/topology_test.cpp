@@ -3,10 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
 #include <stdexcept>
 
 #include "net/routing.h"
+#include "reference_lpm.h"
 
 using namespace tfd::net;
 
@@ -77,6 +79,38 @@ TEST(TopologyTest, EgressTableContainsCustomerPrefixes) {
     const auto t = topology::abilene();
     // 11 PoPs x (1 aggregate + 3 customer prefixes).
     EXPECT_EQ(t.egress_table().size(), 11u * 4u);
+}
+
+// Egress resolution agrees with the per-length walk over the egress
+// table's own routes: at every /16 (its first address and one inside)
+// and at sampled addresses, on Abilene, Geant and a 64-PoP backbone.
+TEST(TopologyTest, EgressMatchesTheReferenceWalkOnEverySlash16) {
+    for (const topology& t :
+         {topology::abilene(), topology::geant(), topology::synthetic(64)}) {
+        SCOPED_TRACE(t.name());
+        const reference::lpm ref(t.egress_table().entries());
+        std::uint64_t x = 7;
+        const auto next = [&x] {  // 64-bit LCG, high half
+            x = x * 6364136223846793005ull + 1442695040888963407ull;
+            return static_cast<std::uint32_t>(x >> 32);
+        };
+        std::size_t resolved = 0;
+        for (std::uint32_t s = 0; s < (1u << 16); ++s) {
+            const ipv4 first{s << 16};
+            const ipv4 inside{first.value | (next() >> 16)};
+            for (const ipv4 a : {first, inside}) {
+                const auto got = t.egress_pop(a);
+                ASSERT_EQ(got, ref.lookup(a)) << to_string(a);
+                if (got) ++resolved;
+            }
+        }
+        for (int q = 0; q < 100000; ++q) {
+            const ipv4 a{next()};
+            ASSERT_EQ(t.egress_pop(a), ref.lookup(a)) << to_string(a);
+        }
+        // Every PoP's /8 resolves: 256 /16s each, two addresses per /16.
+        EXPECT_EQ(resolved, static_cast<std::size_t>(t.pop_count()) * 512u);
+    }
 }
 
 TEST(TopologyTest, ConstructorValidation) {

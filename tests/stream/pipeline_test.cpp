@@ -252,12 +252,64 @@ TEST(StreamPipelineTest, RecordsAfterFinishAreLateNotReplayed) {
     EXPECT_EQ(pipeline.metrics().late_records, 2u);
     EXPECT_EQ(pipeline.metrics().bins_emitted, 1u);
 
-    // A genuinely newer bin still flows through.
+    // A genuinely newer bin continues the stream: bins 3 and 4 are
+    // bridged with empty gap bins, as if bin 2 had stayed open.
     std::vector<flow::flow_record> fresh = {record_in_bin(5)};
     pipeline.push(fresh);
     pipeline.finish();
+    ASSERT_EQ(results.size(), 4u);
+    EXPECT_EQ(results[1].stats.bin, 3u);
+    EXPECT_EQ(results[1].stats.records, 0u);
+    EXPECT_EQ(results[2].stats.bin, 4u);
+    EXPECT_EQ(results[2].stats.records, 0u);
+    EXPECT_EQ(results[3].stats.bin, 5u);
+    EXPECT_EQ(results[3].stats.records, 1u);
+    EXPECT_EQ(pipeline.metrics().empty_bins, 2u);
+    EXPECT_EQ(pipeline.metrics().time_base_resets, 0u);
+}
+
+TEST(StreamPipelineTest, FarForwardPushAfterFinishResetsTimeBase) {
+    const auto topo = net::topology::abilene();
+    pipeline_options opts;
+    opts.shards = 1;
+    opts.online = small_online();
+    opts.max_gap_bins = 10;
+    stream_pipeline pipeline(topo, opts);
+    std::vector<bin_result> results;
+    pipeline.on_bin([&](const bin_result& r) { results.push_back(r); });
+    std::vector<lifecycle_event> events;
+    pipeline.on_lifecycle(
+        [&](const lifecycle_event& ev) { events.push_back(ev); });
+
+    auto record_in_bin = [&](std::size_t bin) {
+        flow::flow_record r;
+        r.ingress_pop = 0;
+        r.key.dst = topo.address_in_pop(1, 5);
+        r.packets = 1;
+        r.first_us = bin * flow::default_bin_us + 7;
+        r.last_us = r.first_us;
+        return r;
+    };
+
+    std::vector<flow::flow_record> first = {record_in_bin(2)};
+    pipeline.push(first);
+    pipeline.finish();
+    // Eleven bins past the last emitted one: beyond max_gap_bins, so the
+    // time base resets instead of bridging ten empty bins.
+    std::vector<flow::flow_record> far = {record_in_bin(13)};
+    pipeline.push(far);
+    pipeline.finish();
+
     ASSERT_EQ(results.size(), 2u);
-    EXPECT_EQ(results[1].stats.bin, 5u);
+    EXPECT_EQ(results[0].stats.bin, 2u);
+    EXPECT_EQ(results[1].stats.bin, 13u);
+    EXPECT_EQ(results[1].stats.records, 1u);
+    EXPECT_EQ(pipeline.metrics().empty_bins, 0u);
+    EXPECT_EQ(pipeline.metrics().time_base_resets, 1u);
+    ASSERT_EQ(events.size(), 1u);
+    EXPECT_EQ(events[0].type, lifecycle_event::kind::time_base_reset);
+    EXPECT_EQ(events[0].from_bin, 2u);
+    EXPECT_EQ(events[0].to_bin, 13u);
 }
 
 TEST(StreamPipelineTest, LateUnresolvableRecordsCountOnceInMetrics) {

@@ -22,6 +22,12 @@
 // consumed prefix whose bins stay within max_gap_bins of the restored
 // cursor late-drops exactly that prefix and leaves every later verdict
 // unchanged.
+//
+// A third pins the finish() contract: a finish() at a random cut, then
+// the rest of the stream, continues the stream. At a bin boundary the
+// bins, verdicts, resets and counters equal the uninterrupted stream's;
+// mid-bin, the cut bin's later records count as late and the ledger
+// still balances.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -31,6 +37,7 @@
 #include <tuple>
 #include <vector>
 
+#include "flow/od_aggregator.h"
 #include "io/snapshot.h"
 #include "net/topology.h"
 #include "stream/flow_codec.h"
@@ -295,6 +302,59 @@ std::pair<std::vector<std::uint8_t>, std::uint64_t> checkpoint_at(
     return {bytes, consumed};
 }
 
+/// push() the records before `cut`, finish(), then push() the rest and
+/// finish(). `closed` receives the emission index and the bin of what
+/// the mid-stream finish() emitted.
+outcome run_with_finish_at(const net::topology& topo,
+                           const pipeline_options& opts,
+                           const random_stream& s, std::size_t cut,
+                           std::pair<std::size_t, std::size_t>& closed) {
+    stream_pipeline p(topo, opts);
+    outcome out;
+    observe(p, out);
+    p.push(std::span(s.records).first(cut));
+    p.finish();
+    closed = {out.bins.size() - 1, out.bins.back().stats.bin};
+    p.push(std::span(s.records).subspan(cut));
+    p.finish();
+    out.metrics = p.metrics();
+    return out;
+}
+
+/// Where an uninterrupted pipeline holding bin `open` first moves its
+/// cursor after `cut` (the first record of a later bin, or of a bin
+/// beyond max_gap_bins behind it; records.size() if none), and how many
+/// resolvable records of bin `open` arrive before that.
+struct cut_shape {
+    std::size_t decisive = 0;
+    std::uint64_t open_bin_records = 0;
+};
+
+cut_shape shape_after(const random_stream& s, const flow::od_resolver& resolver,
+                      std::size_t cut, std::size_t open, std::size_t max_gap) {
+    cut_shape shape{s.records.size(), 0};
+    for (std::size_t i = cut; i < s.records.size(); ++i) {
+        const std::size_t b = flow::bin_index(s.records[i].first_us);
+        if (b > open || open - b > max_gap) {
+            shape.decisive = i;
+            break;
+        }
+        if (b == open && resolver.resolve(s.records[i]))
+            ++shape.open_bin_records;
+    }
+    return shape;
+}
+
+/// Each time-base reset's (from, to), without the emitted-bin tag: a
+/// finish() just before a reset emits the closing bin ahead of the
+/// reset event instead of after it.
+std::vector<std::pair<std::size_t, std::size_t>> reset_jumps(const outcome& o) {
+    std::vector<std::pair<std::size_t, std::size_t>> jumps;
+    for (const auto& r : o.resets)
+        jumps.emplace_back(std::get<1>(r), std::get<2>(r));
+    return jumps;
+}
+
 /// A fresh pipeline restored from `bytes`, observed into `out`.
 void restore_into(stream_pipeline& p, std::vector<std::uint8_t> bytes,
                   outcome& out) {
@@ -432,4 +492,71 @@ TEST(StreamPropertyTest, ReplayWithinMaxGapLateDropsExactlyThePrefix) {
         for (std::size_t b = 0; b < after.bins.size(); ++b)
             expect_bins_identical(after.bins[b], ref.bins[cut + 1 + b]);
     }
+}
+
+TEST(StreamPropertyTest, FinishAtARandomCutContinuesTheStream) {
+    const auto topo = net::topology::abilene();
+    const traffic::background_model bg(topo);
+    const flow::od_resolver resolver(topo);
+    const auto opts = make_opts(2, kMaxGap);
+    std::size_t mid_bin_cuts = 0, boundary_cuts = 0;
+    for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
+        SCOPED_TRACE(testing::Message() << "seed " << seed);
+        const random_stream s = make_random_stream(bg, seed);
+        const outcome ref = run_pushed(topo, opts, s);
+        rng g{seed * 104729};
+        std::size_t cut = 1 + g.below(s.records.size() - 1);
+        std::pair<std::size_t, std::size_t> closed;
+        const outcome got = run_with_finish_at(topo, opts, s, cut, closed);
+        const auto [emitted_at, open] = closed;
+        const cut_shape shape = shape_after(s, resolver, cut, open, kMaxGap);
+        expect_conservation(got.metrics);
+        EXPECT_EQ(reset_jumps(got), reset_jumps(ref));
+        ASSERT_EQ(got.bins.size(), ref.bins.size());
+
+        if (shape.open_bin_records > 0) {
+            // Mid-bin: the cut bin closes early and its later records
+            // are late; every bin index and every other counter matches.
+            SCOPED_TRACE(testing::Message() << "mid-bin cut " << cut);
+            ++mid_bin_cuts;
+            const pipeline_metrics& m = got.metrics;
+            const pipeline_metrics& r = ref.metrics;
+            EXPECT_EQ(m.late_records, r.late_records + shape.open_bin_records);
+            EXPECT_EQ(m.records_accumulated,
+                      r.records_accumulated - shape.open_bin_records);
+            EXPECT_EQ(m.records_in, r.records_in);
+            EXPECT_EQ(m.resolver_drops.total(), r.resolver_drops.total());
+            EXPECT_EQ(m.bins_emitted, r.bins_emitted);
+            EXPECT_EQ(m.empty_bins, r.empty_bins);
+            EXPECT_EQ(m.time_base_resets, r.time_base_resets);
+            for (std::size_t b = 0; b < emitted_at; ++b)
+                expect_bins_identical(got.bins[b], ref.bins[b]);
+            for (std::size_t b = emitted_at; b < ref.bins.size(); ++b) {
+                EXPECT_EQ(got.bins[b].stats.bin, ref.bins[b].stats.bin);
+                EXPECT_EQ(got.bins[b].stats.records +
+                              (b == emitted_at ? shape.open_bin_records : 0),
+                          ref.bins[b].stats.records);
+            }
+            // The record that moves the cursor on from the cut bin marks
+            // its boundary; cut there instead.
+            cut = shape.decisive;
+        }
+
+        // At a bin boundary a finish() changes nothing.
+        SCOPED_TRACE(testing::Message() << "boundary cut " << cut);
+        ++boundary_cuts;
+        std::pair<std::size_t, std::size_t> at_boundary;
+        const outcome whole =
+            run_with_finish_at(topo, opts, s, cut, at_boundary);
+        EXPECT_EQ(at_boundary, closed);
+        expect_conservation(whole.metrics);
+        EXPECT_EQ(reset_jumps(whole), reset_jumps(ref));
+        ASSERT_EQ(whole.bins.size(), ref.bins.size());
+        for (std::size_t b = 0; b < ref.bins.size(); ++b)
+            expect_bins_identical(whole.bins[b], ref.bins[b]);
+        expect_counters_identical(whole.metrics, ref.metrics);
+    }
+    std::printf("finish() cuts: %zu mid-bin, %zu at a bin boundary\n",
+                mid_bin_cuts, boundary_cuts);
+    EXPECT_GT(mid_bin_cuts, 0u);
 }
