@@ -78,15 +78,6 @@ void bm_symmetric_topk(benchmark::State& state) {
 BENCHMARK(bm_symmetric_topk)->Arg(128)->Arg(484)->Arg(1024)->Arg(2048)
     ->Unit(benchmark::kMillisecond);
 
-void bm_pca_fit(benchmark::State& state) {
-    const auto& d = dataset();
-    for (auto _ : state) {
-        auto p = linalg::fit_pca(d.packets);
-        benchmark::DoNotOptimize(p.eigenvalues.data());
-    }
-}
-BENCHMARK(bm_pca_fit)->Unit(benchmark::kMillisecond);
-
 void bm_pca_fit_topk(benchmark::State& state) {
     // The detection-path fit: only the 10 leading axes materialized.
     const auto& d = dataset();
@@ -164,11 +155,13 @@ void bm_spe_single_observation(benchmark::State& state) {
 BENCHMARK(bm_spe_single_observation);
 
 void bm_identification(benchmark::State& state) {
+    // Recursive identification plus the attribution (residual, top OD,
+    // h_tilde) that every detection's verdict carries.
     static const auto m = core::unfold(dataset());
     static const auto model =
         core::subspace_model::fit(m.h, {.normal_dims = 10});
     for (auto _ : state) {
-        auto id = core::identify_flows(model, m, m.h.row(50),
+        auto id = core::identify_flows(model, m.h.row(50),
                                        {.max_flows = 3, .stop_threshold = 0.0});
         benchmark::DoNotOptimize(id.flows.data());
     }

@@ -77,9 +77,11 @@ inline entropy_points points_from_known_types(
                 obs[m.column(static_cast<flow::feature>(f), od)] =
                     h[f] / m.submatrix_norm[f];
 
+            // Figure 7 takes the planted OD's residual, which need not be
+            // identify_flows' top OD, so h_tilde is extracted here.
             const auto residual = model.residual(obs);
             const auto v =
-                core::to_unit_norm(core::flow_residual(m, residual, od));
+                core::to_unit_norm(core::flow_residual(residual, od));
             for (int f = 0; f < 4; ++f) out.x(row, f) = v[f];
             out.labels.push_back(diagnosis::label_of(type));
             ++row;

@@ -11,7 +11,12 @@ BENCH_core.json keeps the repo's perf trajectory:
 
 The first run (or a run with --set-baseline) becomes the baseline; later
 runs refresh "current" and the speedup table, so each PR can see how the
-hot paths moved relative to the recorded floor.
+hot paths moved relative to the recorded floor. A run with --filter
+refreshes only the entries it ran: each of them carries the run's own
+"label" and "context", and the section's label and context keep
+describing the entries that carry none. A context records num_cpus,
+kernel_isa and cpu_steal_frac, the share of all CPU time the hypervisor
+stole while the binaries ran (read from /proc/stat; null elsewhere).
 
 Usage:
   scripts/bench_to_json.py --binary build-bench/bench/perf_core \
@@ -102,6 +107,51 @@ def to_ns(value, unit):
     return value * factor
 
 
+def cpu_times():
+    """Aggregate (steal, total) jiffies from /proc/stat, or None."""
+    try:
+        with open("/proc/stat") as f:
+            fields = [int(v) for v in f.readline().split()[1:9]]
+        return fields[7], sum(fields)
+    except (OSError, ValueError, IndexError):
+        return None
+
+
+def steal_fraction(before, after):
+    if before is None or after is None or after[1] <= before[1]:
+        return None
+    return round((after[0] - before[0]) / (after[1] - before[1]), 4)
+
+
+def merge_run(doc, run, filtered, set_baseline=False):
+    """Merge one run into the BENCH_core.json document `doc`, in place.
+
+    An unfiltered run replaces "current". A filtered run refreshes only
+    the entries it ran and stamps each with the run's label and context;
+    every other entry, and the section's own label and context, stay as
+    they were. The speedup table is recomputed either way.
+    """
+    if set_baseline or "baseline" not in doc:
+        doc["baseline"] = run
+    if filtered and "current" in doc:
+        for name, entry in run["benchmarks"].items():
+            doc["current"]["benchmarks"][name] = dict(
+                entry, label=run["label"], context=run["context"])
+    else:
+        doc["current"] = run
+
+    speedups = {}
+    base = doc["baseline"]["benchmarks"]
+    for name, cur in doc["current"]["benchmarks"].items():
+        if name in base:
+            cur_ns = to_ns(cur["real_time"], cur["time_unit"])
+            base_ns = to_ns(base[name]["real_time"], base[name]["time_unit"])
+            if cur_ns > 0:
+                speedups[name] = round(base_ns / cur_ns, 3)
+    doc["speedup_vs_baseline"] = speedups
+    return doc
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--binary", required=True, action="append",
@@ -127,6 +177,7 @@ def main():
 
     benchmarks = {}
     context = {}
+    before = cpu_times()
     for binary in args.binary:
         raw = run_benchmark(binary, args.filter, args.min_time)
         if not context:
@@ -140,6 +191,7 @@ def main():
                 "kernel_isa": raw.get("context", {}).get("kernel_isa"),
             }
         benchmarks.update(distill(raw))
+    context["cpu_steal_frac"] = steal_fraction(before, cpu_times())
     run = {
         "label": args.label or "unlabeled",
         "context": context,
@@ -221,25 +273,8 @@ def main():
     if args.check_only:
         return
 
-    if args.set_baseline or "baseline" not in doc:
-        doc["baseline"] = run
-    if args.filter and "current" in doc:
-        # A filtered run refreshes only the matching entries; the rest of
-        # the perf record stays instead of being silently dropped.
-        doc["current"]["label"] = run["label"]
-        doc["current"]["benchmarks"].update(run["benchmarks"])
-    else:
-        doc["current"] = run
-
-    speedups = {}
-    base = doc["baseline"]["benchmarks"]
-    for name, cur in doc["current"]["benchmarks"].items():
-        if name in base:
-            cur_ns = to_ns(cur["real_time"], cur["time_unit"])
-            base_ns = to_ns(base[name]["real_time"], base[name]["time_unit"])
-            if cur_ns > 0:
-                speedups[name] = round(base_ns / cur_ns, 3)
-    doc["speedup_vs_baseline"] = speedups
+    merge_run(doc, run, bool(args.filter), args.set_baseline)
+    speedups = doc["speedup_vs_baseline"]
 
     with open(args.output, "w") as f:
         json.dump(doc, f, indent=2, sort_keys=True)

@@ -1,7 +1,6 @@
 #include "core/detector.h"
 
 #include <algorithm>
-#include <cmath>
 
 namespace tfd::core {
 
@@ -16,40 +15,17 @@ entropy_detection detect_entropy_anomalies(const multiway_matrix& m,
     out.rows.spe = model.spe_rows(m.h);
     out.rows.threshold = model.q_threshold(alpha);
 
-    identify_options iopts;
-    iopts.stop_threshold = out.rows.threshold;
-    iopts.max_flows = 5;
-
+    const identify_options iopts{.max_flows = 5,
+                                 .stop_threshold = out.rows.threshold};
     for (std::size_t bin = 0; bin < m.h.rows(); ++bin) {
         if (out.rows.spe[bin] <= out.rows.threshold) continue;
         out.rows.anomalous_bins.push_back(bin);
-
-        anomaly_event ev;
-        ev.bin = bin;
-        ev.spe = out.rows.spe[bin];
-
-        const auto obs = m.h.row(bin);
-        const auto residual = model.residual(obs);
-        const auto ident = identify_flows(model, m, obs, iopts);
-        ev.flows = ident.flows;
-
-        if (!ev.flows.empty()) {
-            ev.top_od = ev.flows.front().od;
-        } else {
-            // Fall back to the flow with the largest residual energy.
-            double best = -1.0;
-            for (std::size_t od = 0; od < m.flows; ++od) {
-                const auto v = flow_residual(m, residual, static_cast<int>(od));
-                double e = 0.0;
-                for (double x : v) e += x * x;
-                if (e > best) {
-                    best = e;
-                    ev.top_od = static_cast<int>(od);
-                }
-            }
-        }
-        ev.h_tilde = to_unit_norm(flow_residual(m, residual, ev.top_od));
-        out.events.push_back(std::move(ev));
+        auto ident = identify_flows(model, m.h.row(bin), iopts);
+        out.events.push_back({.bin = bin,
+                              .spe = out.rows.spe[bin],
+                              .flows = std::move(ident.flows),
+                              .top_od = ident.top_od,
+                              .h_tilde = ident.h_tilde});
     }
     return out;
 }

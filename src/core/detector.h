@@ -23,13 +23,10 @@ namespace tfd::core {
 struct anomaly_event {
     std::size_t bin = 0;
     double spe = 0.0;  ///< ||h_tilde||^2 at the bin (whole-network)
-    /// OD flows identified by recursive multi-attribute identification.
+    /// Identified flows, top OD and h_tilde, as identify_flows returns
+    /// them (at most 5 flows).
     std::vector<identified_flow> flows;
-    /// OD flow judged primarily responsible (first identified, or the one
-    /// with the largest residual if identification found none).
     int top_od = -1;
-    /// Unit-norm residual entropy vector of top_od, in feature order
-    /// (srcIP, srcPort, dstIP, dstPort) — the classification coordinates.
     std::array<double, flow::feature_count> h_tilde{};
 };
 

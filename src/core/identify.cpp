@@ -3,6 +3,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "core/multiway.h"
+
 namespace tfd::core {
 
 namespace {
@@ -39,13 +41,12 @@ bool solve4(double a[kF][kF], double b[kF], double f[kF]) {
 }  // namespace
 
 identification identify_flows(const subspace_model& model,
-                              const multiway_matrix& m,
                               std::span<const double> obs,
                               const identify_options& opts) {
     const std::size_t n = model.dimension();
-    if (obs.size() != n || m.h.cols() != n)
+    if (obs.size() != n || n == 0 || n % kF != 0)
         throw std::invalid_argument("identify_flows: dimension mismatch");
-    const std::size_t p = m.flows;
+    const std::size_t p = n / kF;
     const std::size_t md = model.normal_dims();
     const auto& pc = model.pca().components;  // n x n, first md cols used
 
@@ -149,6 +150,26 @@ identification identify_flows(const subspace_model& model,
         idf.spe_after = spe;
         out.flows.push_back(idf);
     }
+
+    // Attribution, from the undeflated residual as model.residual()
+    // computes it (r above rounds differently): the first identified
+    // flow, else the flow with the largest residual energy.
+    const auto residual = model.residual(obs);
+    if (!out.flows.empty()) {
+        out.top_od = out.flows.front().od;
+    } else {
+        double best = -1.0;
+        for (std::size_t k = 0; k < p; ++k) {
+            double e = 0.0;
+            for (double x : flow_residual(residual, static_cast<int>(k)))
+                e += x * x;
+            if (e > best) {
+                best = e;
+                out.top_od = static_cast<int>(k);
+            }
+        }
+    }
+    out.h_tilde = to_unit_norm(flow_residual(residual, out.top_od));
     return out;
 }
 

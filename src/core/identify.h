@@ -8,6 +8,11 @@
 // minimum wins; the method recurses (deflating the winner's contribution)
 // until the residual drops below the detection threshold, so anomalies
 // spanning several OD flows are identified one flow at a time.
+//
+// identify_flows is also the one place that attributes a detection for
+// classification (Sections 6-7): it names the top OD flow and extracts
+// that flow's unit-norm residual entropy vector h_tilde. The batch
+// detector and the online detector both take their attribution from it.
 #pragma once
 
 #include <array>
@@ -15,8 +20,8 @@
 #include <span>
 #include <vector>
 
-#include "core/multiway.h"
 #include "core/subspace.h"
+#include "flow/flow_record.h"
 
 namespace tfd::core {
 
@@ -27,12 +32,23 @@ struct identified_flow {
     std::array<double, flow::feature_count> magnitude{};
     /// Residual SPE *after* deflating this flow.
     double spe_after = 0.0;
+
+    friend bool operator==(const identified_flow&,
+                           const identified_flow&) = default;
 };
 
 /// Result of recursive identification at one timebin.
 struct identification {
     std::vector<identified_flow> flows;  ///< in order of identification
     double spe_before = 0.0;             ///< SPE of the raw observation
+    /// OD flow judged primarily responsible: the first identified, or the
+    /// one with the largest residual energy (the first on ties) when
+    /// identification found none.
+    int top_od = -1;
+    /// Unit-norm residual entropy vector of top_od, in feature order
+    /// (srcIP, srcPort, dstIP, dstPort): the classification coordinates.
+    /// Taken from model.residual(obs), the residual before any deflation.
+    std::array<double, flow::feature_count> h_tilde{};
 };
 
 /// Options bounding the recursion.
@@ -43,11 +59,13 @@ struct identify_options {
 };
 
 /// Identify the OD flow(s) responsible for an anomalous observation
-/// `obs` (length 4p) under a fitted multiway subspace model.
+/// `obs` under a fitted multiway subspace model, and attribute it: the
+/// OD count p comes from the length 4p of `obs`, laid out as unfold()
+/// lays out a row.
 ///
-/// Throws std::invalid_argument on dimension mismatch.
+/// Throws std::invalid_argument unless obs.size() equals the model's
+/// dimension and is a positive multiple of 4.
 identification identify_flows(const subspace_model& model,
-                              const multiway_matrix& m,
                               std::span<const double> obs,
                               const identify_options& opts);
 

@@ -51,12 +51,16 @@ multiway_matrix unfold(const od_dataset& dataset) {
 }
 
 std::array<double, flow::feature_count> flow_residual(
-    const multiway_matrix& m, std::span<const double> residual, int od) {
-    if (residual.size() != m.h.cols())
-        throw std::invalid_argument("flow_residual: residual length mismatch");
+    std::span<const double> residual, int od) {
+    if (residual.size() % flow::feature_count != 0)
+        throw std::invalid_argument("flow_residual: length is not 4p");
+    const std::size_t p = residual.size() / flow::feature_count;
+    if (od < 0 || static_cast<std::size_t>(od) >= p)
+        throw std::out_of_range("flow_residual: od out of range");
     std::array<double, flow::feature_count> out{};
     for (int f = 0; f < flow::feature_count; ++f)
-        out[f] = residual[m.column(static_cast<flow::feature>(f), od)];
+        out[f] = residual[static_cast<std::size_t>(f) * p +
+                          static_cast<std::size_t>(od)];
     return out;
 }
 

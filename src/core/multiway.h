@@ -49,9 +49,12 @@ multiway_matrix unfold(
 multiway_matrix unfold(const od_dataset& dataset);
 
 /// Residual entropy 4-vector of one OD flow extracted from a full
-/// residual vector (length 4p) of the unfolded matrix, in feature order.
+/// residual vector of the unfolded matrix, in feature order; the OD
+/// count p comes from the residual's length 4p. Throws
+/// std::invalid_argument if the length is not a multiple of 4 and
+/// std::out_of_range unless 0 <= od < p.
 std::array<double, flow::feature_count> flow_residual(
-    const multiway_matrix& m, std::span<const double> residual, int od);
+    std::span<const double> residual, int od);
 
 /// Rescale a 4-vector to unit Euclidean norm (paper Section 7.1); zero
 /// vectors are returned unchanged.

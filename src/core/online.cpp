@@ -8,6 +8,11 @@
 
 namespace tfd::core {
 
+namespace {
+// Flows identified per detection (the batch detector identifies 5).
+constexpr std::size_t kMaxIdentified = 3;
+}  // namespace
+
 std::size_t entropy_snapshot::flows() const noexcept {
     const std::size_t n = entropies[0].size();
     for (const auto& e : entropies)
@@ -37,9 +42,6 @@ online_detector::online_detector(std::size_t flows, const online_options& opts)
                 "online_detector: degraded_confidence must be in [0, 1]");
         monitor_.emplace(rc.monitor);  // validates the monitor options
     }
-    layout_.flows = flows;
-    // layout_.h stays empty; only column() arithmetic is used.
-    layout_.h.resize(0, flow::feature_count * flows);
 }
 
 std::vector<double> online_detector::flatten(const entropy_snapshot& s) const {
@@ -81,9 +83,6 @@ void online_detector::refit() {
     model_ = subspace_model::fit(std::move(h), opts_.subspace);
     threshold_ = model_->q_threshold(opts_.alpha);
     since_refit_ = 0;
-
-    // Keep the layout's norms in sync for flow_residual consumers.
-    layout_.submatrix_norm = norms_;
 }
 
 void online_detector::recalibrate() {
@@ -154,9 +153,6 @@ void online_detector::load(io::wire_reader& r) {
         relearn_progress_ = static_cast<std::size_t>(r.varint());
         monitor_->load(r);
     }
-    // Keep the layout's norms in sync for flow_residual consumers,
-    // exactly as refit() leaves them.
-    layout_.submatrix_norm = norms_;
 }
 
 online_verdict online_detector::push(const entropy_snapshot& snapshot) {
@@ -231,28 +227,12 @@ online_verdict online_detector::push(const entropy_snapshot& snapshot) {
 
     if (!v.anomalous) return v;
 
-    const auto ident =
-        identify_flows(*model_, layout_, obs,
-                       {.max_flows = opts_.max_identified,
-                        .stop_threshold = threshold_});
-    v.flows = ident.flows;
-    const auto residual = model_->residual(obs);
-    if (!v.flows.empty()) {
-        v.top_od = v.flows.front().od;
-    } else {
-        double best = -1.0;
-        for (std::size_t od = 0; od < flows_; ++od) {
-            const auto fr = flow_residual(layout_, residual,
-                                          static_cast<int>(od));
-            double e = 0.0;
-            for (double x : fr) e += x * x;
-            if (e > best) {
-                best = e;
-                v.top_od = static_cast<int>(od);
-            }
-        }
-    }
-    v.h_tilde = to_unit_norm(flow_residual(layout_, residual, v.top_od));
+    auto ident = identify_flows(
+        *model_, obs,
+        {.max_flows = kMaxIdentified, .stop_threshold = threshold_});
+    v.flows = std::move(ident.flows);
+    v.top_od = ident.top_od;
+    v.h_tilde = ident.h_tilde;
     return v;
 }
 

@@ -32,7 +32,6 @@
 
 #include "core/drift.h"
 #include "core/identify.h"
-#include "core/multiway.h"
 #include "core/subspace.h"
 #include "flow/flow_record.h"
 #include "io/wire.h"
@@ -86,7 +85,6 @@ struct online_options {
     std::size_t refit_interval = 48; ///< refit the model every R bins
     subspace_options subspace{.normal_dims = 10};
     double alpha = 0.999;
-    std::size_t max_identified = 3;  ///< flows identified per detection
     /// Optional latency sink: each refit() (the eigendecomposition
     /// cadence) records its duration here when non-null.
     /// Observability-only — excluded from the checkpoint fingerprint,
@@ -103,8 +101,8 @@ struct online_verdict {
     bool anomalous = false;
     double spe = 0.0;
     double threshold = 0.0;
-    /// Identified flows + unit-norm h_tilde of the top one (only set
-    /// when anomalous).
+    /// Attribution as identify_flows returns it, at most 3 flows (only
+    /// set when anomalous).
     std::vector<identified_flow> flows;
     int top_od = -1;
     std::array<double, flow::feature_count> h_tilde{};
@@ -179,7 +177,6 @@ private:
     std::deque<std::vector<double>> window_;  ///< raw (un-normalized) rows
     std::array<double, flow::feature_count> norms_{};  ///< current block norms
     std::optional<subspace_model> model_;
-    multiway_matrix layout_;  ///< column layout helper (empty matrix)
     double threshold_ = 0.0;
     std::size_t bins_seen_ = 0;
     std::size_t since_refit_ = 0;

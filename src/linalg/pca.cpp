@@ -17,30 +17,7 @@ double pca_result::variance_captured(std::size_t m) const {
     return s / total_variance;
 }
 
-std::size_t pca_result::components_for_variance(double fraction) const {
-    double s = 0.0;
-    for (std::size_t j = 0; j < eigenvalues.size(); ++j) {
-        s += eigenvalues[j];
-        if (total_variance > 0.0 && s / total_variance >= fraction) return j + 1;
-    }
-    return eigenvalues.size();
-}
-
 namespace {
-
-// Center the data in place, recording the means; shared validation for
-// both fit entry points.
-void center_in_place(matrix& x, pca_result& out) {
-    if (x.rows() < 2)
-        throw std::invalid_argument("fit_pca: need at least two observations");
-    if (x.cols() == 0) throw std::invalid_argument("fit_pca: no columns");
-    out.mean = column_means(x);
-    const double* mu = out.mean.data();
-    for (std::size_t r = 0; r < x.rows(); ++r) {
-        double* xr = x.row(r).data();
-        for (std::size_t c = 0; c < x.cols(); ++c) xr[c] -= mu[c];
-    }
-}
 
 // Length of the numerically significant prefix of the (descending) Gram
 // eigenvalues: only these have recoverable feature-space axes.
@@ -55,12 +32,11 @@ std::size_t significant_prefix(const std::vector<double>& values,
     return kept;
 }
 
-// Gram-trick axis assembly, shared by the full and partial fits:
-// recover feature-space axes v = Xc^T u / ||Xc^T u|| for the leading
-// `kept` Gram eigenpairs as one blocked matrix product, then complete
-// orthonormally past the data's rank up to `target` columns via
-// Gram-Schmidt over canonical start vectors. out.eigenvalues is padded
-// to `target` (n for a full fit, k for a partial one).
+// Gram-trick axis assembly: recover feature-space axes
+// v = Xc^T u / ||Xc^T u|| for the leading `kept` Gram eigenpairs as one
+// blocked matrix product, then complete orthonormally past the data's
+// rank up to `target` columns via Gram-Schmidt over canonical start
+// vectors. out.eigenvalues is padded to `target`.
 void assemble_gram_axes(const matrix& xc, const std::vector<double>& values,
                         const matrix& u_cols, std::size_t kept,
                         std::size_t target, pca_result& out) {
@@ -93,7 +69,7 @@ void assemble_gram_axes(const matrix& xc, const std::vector<double>& values,
     // against already-filled axes, starting from canonical vectors.
     // The residual subspace projector only needs an orthonormal
     // complement; exact choice is irrelevant. Only runs up to `target`
-    // axes, so a partial fit skips (most of) this entirely.
+    // axes, so a fit of k << n axes skips (most of) this entirely.
     std::vector<double> v(n);
     std::size_t next_canon = 0;
     while (filled < target && next_canon < n) {
@@ -116,56 +92,28 @@ void assemble_gram_axes(const matrix& xc, const std::vector<double>& values,
 
 }  // namespace
 
-pca_result fit_pca(const matrix& x) {
-    pca_result out;
-    matrix xc = x;
-    center_in_place(xc, out);
-
-    const std::size_t t = x.rows(), n = x.cols();
-    const double denom = static_cast<double>(t - 1);
-
-    if (t < n) {
-        // Gram trick: eigen of (1/(t-1)) Xc Xc^T gives the nonzero spectrum;
-        // feature-space axes are recovered as v = Xc^T u / ||Xc^T u||.
-        matrix g = outer_gram(xc);
-        for (double& v : g.data()) v /= denom;
-        eigen_result eg = symmetric_eigen(g);
-
-        const std::size_t kept = significant_prefix(eg.values, t, n);
-        assemble_gram_axes(xc, eg.values, eg.vectors, kept, n, out);
-    } else {
-        matrix cov = gram(xc);
-        for (double& v : cov.data()) v /= denom;
-        eigen_result eg = symmetric_eigen(cov);
-        out.eigenvalues = std::move(eg.values);
-        for (double& v : out.eigenvalues) v = std::max(v, 0.0);
-        out.components = std::move(eg.vectors);
-    }
-
-    out.total_variance = 0.0;
-    out.spectrum_moments = {0.0, 0.0, 0.0};
-    for (double v : out.eigenvalues) {
-        out.total_variance += v;
-        out.spectrum_moments[0] += v;
-        out.spectrum_moments[1] += v * v;
-        out.spectrum_moments[2] += v * v * v;
-    }
-    return out;
-}
-
 pca_result fit_pca_topk(matrix x, std::size_t k) {
+    if (x.rows() < 2)
+        throw std::invalid_argument(
+            "fit_pca_topk: need at least two observations");
+    if (x.cols() == 0) throw std::invalid_argument("fit_pca_topk: no columns");
     pca_result out;
-    center_in_place(x, out);
+    out.mean = column_means(x);
+    const double* mu = out.mean.data();
+    for (std::size_t r = 0; r < x.rows(); ++r) {
+        double* xr = x.row(r).data();
+        for (std::size_t c = 0; c < x.cols(); ++c) xr[c] -= mu[c];
+    }
 
     const std::size_t t = x.rows(), n = x.cols();
     const double denom = static_cast<double>(t - 1);
     k = std::min(std::max<std::size_t>(k, 1), n);
 
     if (t < n) {
-        // Same Gram trick as the full fit, but only the top-k eigenpairs
-        // of the t x t Gram are ever extracted. Its spectrum is the
-        // covariance spectrum padded with n - t zeros, so the Gram's
-        // full-spectrum moments ARE the covariance moments.
+        // Gram trick: only the top-k eigenpairs of the t x t Gram are
+        // ever extracted. Its spectrum is the covariance spectrum padded
+        // with n - t zeros, so the Gram's full-spectrum moments ARE the
+        // covariance moments.
         matrix g = outer_gram(x);
         for (double& v : g.data()) v /= denom;
         partial_eigen_result pe = symmetric_eigen_topk(g, std::min(k, t));
@@ -183,7 +131,6 @@ pca_result fit_pca_topk(matrix x, std::size_t k) {
         out.spectrum_moments = pe.moments;
     }
 
-    out.partial_spectrum = true;
     out.total_variance = std::max(out.spectrum_moments[0], 0.0);
     return out;
 }

@@ -18,60 +18,46 @@ namespace tfd::linalg {
 struct pca_result {
     /// Per-column means that were removed before fitting.
     std::vector<double> mean;
-    /// Covariance eigenvalues, descending. Length = number of columns
-    /// for fit_pca; for fit_pca_topk only the leading k are present
-    /// (`partial_spectrum` is set and the tail lives in
-    /// `spectrum_moments`).
+    /// The leading k covariance eigenvalues, descending; the tail lives
+    /// in `spectrum_moments`.
     std::vector<double> eigenvalues;
-    /// Matrix with orthonormal columns; column j is the j-th principal
-    /// axis. cols x cols for fit_pca; cols x min(k, cols) for
-    /// fit_pca_topk.
+    /// cols x k matrix with orthonormal columns; column j is the j-th
+    /// principal axis.
     matrix components;
     /// Sum of all eigenvalues (= total variance).
     double total_variance = 0.0;
     /// Power sums sum lambda^p (p = 1, 2, 3) over the FULL covariance
     /// spectrum; spectrum_moments[0] == total_variance up to rounding.
-    /// Exact for every fit path — partial fits obtain the tail from
-    /// tridiagonal trace identities, so threshold formulas that need
+    /// Exact although only k eigenpairs are kept (the tail comes from
+    /// tridiagonal trace identities, or from the full QL spectrum when
+    /// the fit falls back to it), so threshold formulas that need
     /// residual-spectrum moments (Jackson–Mudholkar) never require the
     /// discarded eigenpairs.
     std::array<double, 3> spectrum_moments{0.0, 0.0, 0.0};
-    /// True when `eigenvalues` holds only a leading prefix of the
-    /// spectrum (a fit_pca_topk fit). components_for_variance() can then
-    /// answer at most eigenvalues.size().
-    bool partial_spectrum = false;
 
     /// Fraction of total variance captured by the first m components.
     double variance_captured(std::size_t m) const;
-
-    /// Smallest m whose captured-variance fraction reaches `fraction`.
-    std::size_t components_for_variance(double fraction) const;
 };
 
-/// Fit PCA on data matrix `x` (rows = observations, columns = variables):
-/// subtract the column means, then eigendecompose the covariance — or,
-/// when rows < cols, the rows x rows Gram of the centered data (the
-/// "Gram trick": same nonzero spectrum, much cheaper for wide
-/// matrices), recovering feature-space axes from its eigenvectors and
-/// completing the basis orthonormally past the data's rank.
-///
-/// Throws std::invalid_argument if x has fewer than 2 rows or no columns.
-pca_result fit_pca(const matrix& x);
-
-/// Fit only the leading k principal axes (the partial-spectrum path).
+/// Fit the leading k principal axes of data matrix `x` (rows =
+/// observations, columns = variables).
 ///
 /// Takes `x` by value and centers it in place, so a caller that moves
-/// its matrix in pays for no copy of it. Same centering / Gram-trick
-/// behaviour as fit_pca, but the
-/// eigendecomposition extracts just the top-k eigenpairs via bisection +
-/// inverse iteration (symmetric_eigen_topk), so the cost of the tail the
-/// subspace method throws away is never paid. The result carries exact
-/// full-spectrum power sums (`spectrum_moments`) and has
-/// `partial_spectrum` set; `components` has exactly min(k, cols) columns
-/// (orthonormally completed past the data's rank if the input is too
-/// degenerate to supply them). k is clamped to [1, cols].
-/// Falls back to the full QL solver internally when k is within a
-/// factor 2 of the eigenproblem order — the result shape is the same.
+/// its matrix in pays for no copy of it. Then eigendecomposes the
+/// covariance — or, when rows < cols, the rows x rows Gram of the
+/// centered data (the "Gram trick": same nonzero spectrum, much cheaper
+/// for wide matrices), recovering feature-space axes from its
+/// eigenvectors. Only the top-k eigenpairs are extracted, via bisection
+/// + inverse iteration (symmetric_eigen_topk), so the cost of the tail
+/// the subspace method throws away is never paid. The result carries
+/// exact full-spectrum power sums (`spectrum_moments`); `components`
+/// has exactly min(k, cols) columns (orthonormally completed past the
+/// data's rank if the input is too degenerate to supply them). k is
+/// clamped to [1, cols]. Falls back to the full QL solver internally
+/// when k is within a factor 2 of the eigenproblem order, so
+/// fit_pca_topk(x, x.cols()) is the full-basis fit.
+///
+/// Throws std::invalid_argument if x has fewer than 2 rows or no columns.
 pca_result fit_pca_topk(matrix x, std::size_t k);
 
 /// Project a single observation (length = cols) onto the first m principal

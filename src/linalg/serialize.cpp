@@ -35,7 +35,7 @@ void save(io::wire_writer& w, const pca_result& p) {
     save(w, p.components);
     w.f64(p.total_variance);
     for (double m : p.spectrum_moments) w.f64(m);
-    w.u8(p.partial_spectrum ? 1 : 0);
+    w.u8(1);
 }
 
 void load(io::wire_reader& r, pca_result& p) {
@@ -44,7 +44,7 @@ void load(io::wire_reader& r, pca_result& p) {
     load(r, p.components);
     p.total_variance = r.f64();
     for (double& m : p.spectrum_moments) m = r.f64();
-    p.partial_spectrum = r.u8() != 0;
+    if (r.u8() != 1) r.fail("pca: bad partial-spectrum flag");
 }
 
 }  // namespace tfd::linalg

@@ -5,7 +5,7 @@
 // IEEE-754 bits (io::wire f64), never through text formatting. These
 // helpers serialize the linalg value types the detector state is built
 // from: dense matrices, double vectors, and a full pca_result
-// (eigenvalues, components, spectrum moments, partial-spectrum flag).
+// (eigenvalues, components, spectrum moments).
 //
 // Layouts (all little-endian, varint = LEB128):
 //
@@ -13,7 +13,8 @@
 //   matrix  : varint rows | varint cols | rows*cols x f64 (row-major)
 //   pca     : vector mean | vector eigenvalues | matrix components
 //             f64 total_variance | 3 x f64 spectrum_moments
-//             u8 partial_spectrum
+//             u8 1 (the partial-spectrum flag; every fit is partial
+//             now, so load rejects any other value)
 #pragma once
 
 #include <span>
@@ -42,7 +43,8 @@ void load(io::wire_reader& r, matrix& m);
 /// Append a fitted PCA model (spectrum, axes, moments).
 void save(io::wire_writer& w, const pca_result& p);
 
-/// Read a fitted PCA model (contents replaced).
+/// Read a fitted PCA model (contents replaced). Throws io::wire_error
+/// on truncation or a flag byte other than 1.
 void load(io::wire_reader& r, pca_result& p);
 
 }  // namespace tfd::linalg

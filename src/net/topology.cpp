@@ -23,13 +23,9 @@ topology::topology(std::string name, std::vector<std::string> pop_names,
         pops_.push_back(std::move(p));
     }
 
-    adjacency_.resize(pops_.size());
-    for (const link& l : links_) {
+    for (const link& l : links_)
         if (l.a < 0 || l.b < 0 || l.a >= pop_count() || l.b >= pop_count())
             throw std::invalid_argument("topology: link endpoint out of range");
-        adjacency_[l.a].push_back(l.b);
-        adjacency_[l.b].push_back(l.a);
-    }
 
     // Egress table: the aggregate /8 per PoP plus a few more-specific /16
     // "customer" prefixes pointing at the same PoP, so lookups exercise

@@ -6,6 +6,9 @@
 // Factories reproduce the two networks studied in the paper: Abilene
 // (11 PoPs, 121 OD flows, 1/100 sampling, 11-bit anonymization) and
 // Geant (22 PoPs, 484 OD flows, 1/1000 sampling, no anonymization).
+// OD flows are keyed by ingress and egress PoP, so nothing routes over
+// the links: they describe the backbone (and enter the checkpoint
+// fingerprint), and no path is ever computed.
 #pragma once
 
 #include <cstdint>
@@ -96,16 +99,10 @@ public:
     /// The LPM egress table (read-only), for tests and tools.
     const prefix_table& egress_table() const noexcept { return egress_; }
 
-    /// Adjacency list (PoP id -> neighbouring PoP ids).
-    const std::vector<std::vector<int>>& adjacency() const noexcept {
-        return adjacency_;
-    }
-
 private:
     std::string name_;
     std::vector<pop> pops_;
     std::vector<link> links_;
-    std::vector<std::vector<int>> adjacency_;
     prefix_table egress_;
 };
 

@@ -321,7 +321,9 @@ std::uint64_t stream_pipeline::config_fingerprint() const {
     w.varint(o.window);
     w.varint(o.warmup);
     w.varint(o.refit_interval);
-    w.varint(o.max_identified);
+    // The deleted max_identified knob's byte, pinned at the 3 flows the
+    // online detector identifies, so fingerprints do not move.
+    w.varint(3);
     w.varint(o.subspace.normal_dims);
     // Bytes of two deleted subspace flags, pinned so old checkpoints restore.
     w.u8(1);

@@ -1,5 +1,6 @@
 // Tests for multi-attribute identification (Section 4.2): given a
-// detected timebin, find the OD flow(s) responsible.
+// detected timebin, find the OD flow(s) responsible, then attribute it
+// (top OD and its unit-norm residual h_tilde).
 //
 // The synthetic entropy tensor mimics real data's spectral shape: a
 // shared diurnal cycle, per-column quasi-periodic idiosyncrasies, and
@@ -9,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <set>
 
@@ -61,10 +63,13 @@ TEST(IdentifyTest, FindsSingleAnomalousFlow) {
 
     auto model = subspace_model::fit(m.h, {.normal_dims = 10});
     const double thr = model.q_threshold(0.999);
-    auto id = identify_flows(model, m, m.h.row(bin),
+    auto id = identify_flows(model, m.h.row(bin),
                              {.max_flows = 3, .stop_threshold = thr});
     ASSERT_FALSE(id.flows.empty());
     EXPECT_EQ(id.flows.front().od, od);
+    EXPECT_EQ(id.top_od, id.flows.front().od);
+    EXPECT_EQ(id.h_tilde, to_unit_norm(flow_residual(
+                              model.residual(m.h.row(bin)), id.top_od)));
     EXPECT_GT(id.spe_before, thr);
     // Deflating the anomalous flow must reduce the SPE drastically.
     EXPECT_LT(id.flows.front().spe_after, 0.2 * id.spe_before);
@@ -79,7 +84,7 @@ TEST(IdentifyTest, MagnitudeRecoversPerturbation) {
     auto m = unfold(f);
 
     auto model = subspace_model::fit(m.h, {.normal_dims = 10});
-    auto id = identify_flows(model, m, m.h.row(bin),
+    auto id = identify_flows(model, m.h.row(bin),
                              {.max_flows = 1, .stop_threshold = 0.0});
     ASSERT_FALSE(id.flows.empty());
     ASSERT_EQ(id.flows.front().od, od);
@@ -102,7 +107,7 @@ TEST(IdentifyTest, RecursionFindsMultipleFlows) {
 
     auto model = subspace_model::fit(m.h, {.normal_dims = 10});
     const double thr = model.q_threshold(0.999);
-    auto id = identify_flows(model, m, m.h.row(bin),
+    auto id = identify_flows(model, m.h.row(bin),
                              {.max_flows = 5, .stop_threshold = thr});
     std::set<int> found;
     for (const auto& fl : id.flows) found.insert(fl.od);
@@ -123,7 +128,7 @@ TEST(IdentifyTest, QuietBinIdentifiesNothing) {
     for (std::size_t r = 1; r < spes.size(); ++r)
         if (spes[r] < spes[quiet]) quiet = r;
     if (spes[quiet] <= thr) {
-        auto id = identify_flows(model, m, m.h.row(quiet),
+        auto id = identify_flows(model, m.h.row(quiet),
                                  {.max_flows = 10, .stop_threshold = thr});
         EXPECT_TRUE(id.flows.empty());
     }
@@ -134,7 +139,7 @@ TEST(IdentifyTest, MaxFlowsBoundsRecursion) {
     for (int od : {1, 4, 8}) perturb(f, 60, od, {2.0, -2.0, 2.0, -2.0});
     auto m = unfold(f);
     auto model = subspace_model::fit(m.h, {.normal_dims = 8});
-    auto id = identify_flows(model, m, m.h.row(60),
+    auto id = identify_flows(model, m.h.row(60),
                              {.max_flows = 2, .stop_threshold = 0.0});
     EXPECT_LE(id.flows.size(), 2u);
 }
@@ -143,7 +148,7 @@ TEST(IdentifyTest, DimensionMismatchThrows) {
     auto m = unfold(entropy_features(96, 8));
     auto model = subspace_model::fit(m.h, {.normal_dims = 4});
     std::vector<double> bad(7, 0.0);
-    EXPECT_THROW(identify_flows(model, m, bad, {}), std::invalid_argument);
+    EXPECT_THROW(identify_flows(model, bad, {}), std::invalid_argument);
 }
 
 TEST(IdentifyTest, SpeAfterDecreasesMonotonically) {
@@ -152,7 +157,7 @@ TEST(IdentifyTest, SpeAfterDecreasesMonotonically) {
     perturb(f, 20, 9, {-1.2, 1.6, 0.8, -1.1});
     auto m = unfold(f);
     auto model = subspace_model::fit(m.h, {.normal_dims = 10});
-    auto id = identify_flows(model, m, m.h.row(20),
+    auto id = identify_flows(model, m.h.row(20),
                              {.max_flows = 4, .stop_threshold = 0.0});
     double prev = id.spe_before;
     for (const auto& fl : id.flows) {
@@ -172,10 +177,51 @@ TEST(IdentifyTest, MultiFlowAnomalySharedDestination) {
     auto m = unfold(f);
     auto model = subspace_model::fit(m.h, {.normal_dims = 10});
     const double thr = model.q_threshold(0.999);
-    auto id = identify_flows(model, m, m.h.row(bin),
+    auto id = identify_flows(model, m.h.row(bin),
                              {.max_flows = 6, .stop_threshold = thr});
     int hits = 0;
     for (const auto& fl : id.flows)
         if (truth.count(fl.od)) ++hits;
     EXPECT_GE(hits, 3);
+    ASSERT_FALSE(id.flows.empty());
+    EXPECT_EQ(id.top_od, id.flows.front().od);
+}
+
+// With no flow identified (max_flows = 0), the top OD falls back to the
+// flow with the largest residual energy, the first on ties, and h_tilde
+// is that flow's unit-norm residual.
+TEST(IdentifyTest, FallbackTakesLargestResidualEnergy) {
+    auto f = entropy_features(288, 16);
+    const std::size_t bin = 140;
+    perturb(f, bin, 11, {1.4, -1.1, 1.6, -0.9});
+    auto m = unfold(f);
+    auto model = subspace_model::fit(m.h, {.normal_dims = 10});
+    const auto obs = m.h.row(bin);
+    const auto id = identify_flows(model, obs,
+                                   {.max_flows = 0, .stop_threshold = 0.0});
+    EXPECT_TRUE(id.flows.empty());
+
+    const auto residual = model.residual(obs);
+    int expect_od = -1;
+    double best = -1.0;
+    for (int od = 0; od < 16; ++od) {
+        double e = 0.0;
+        for (double x : flow_residual(residual, od)) e += x * x;
+        if (e > best) {
+            best = e;
+            expect_od = od;
+        }
+    }
+    EXPECT_EQ(expect_od, 11);
+    EXPECT_EQ(id.top_od, expect_od);
+    EXPECT_EQ(id.h_tilde, to_unit_norm(flow_residual(residual, id.top_od)));
+
+    // At the model mean every residual is exactly zero: all flows tie,
+    // the first wins, and h_tilde stays the zero vector.
+    const auto& mean = model.pca().mean;
+    const auto tie = identify_flows(model, mean,
+                                    {.max_flows = 0, .stop_threshold = 0.0});
+    for (double x : model.residual(mean)) ASSERT_EQ(x, 0.0);
+    EXPECT_EQ(tie.top_od, 0);
+    EXPECT_EQ(tie.h_tilde, (std::array<double, 4>{0.0, 0.0, 0.0, 0.0}));
 }

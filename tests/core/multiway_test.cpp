@@ -93,12 +93,15 @@ TEST(MultiwayTest, FlowResidualExtractsPerFlowCoordinates) {
     std::vector<double> residual(12, 0.0);
     residual[m.column(feature::src_ip, 1)] = 0.5;
     residual[m.column(feature::dst_port, 1)] = -0.25;
-    const auto v = flow_residual(m, residual, 1);
+    const auto v = flow_residual(residual, 1);
     EXPECT_EQ(v[0], 0.5);
     EXPECT_EQ(v[1], 0.0);
     EXPECT_EQ(v[3], -0.25);
     std::vector<double> bad(5, 0.0);
-    EXPECT_THROW(flow_residual(m, bad, 0), std::invalid_argument);
+    EXPECT_THROW(flow_residual(bad, 0), std::invalid_argument);
+    // p = 3 comes from the length 12: the valid ODs are 0, 1 and 2.
+    EXPECT_THROW(flow_residual(residual, -1), std::out_of_range);
+    EXPECT_THROW(flow_residual(residual, 3), std::out_of_range);
 }
 
 TEST(MultiwayTest, UnitNormRescale) {

@@ -13,6 +13,7 @@
 #include "core/subspace.h"
 #include "io/wire.h"
 #include "linalg/matrix.h"
+#include "linalg/serialize.h"
 
 using namespace tfd;
 using namespace tfd::core;
@@ -166,6 +167,27 @@ TEST(SubspaceSnapshotTest, RestoredModelScoresIdentically) {
         for (double& v : obs) v = 3.0 * gen.uniform();
         ASSERT_EQ(restored.spe(obs), model.spe(obs));
         ASSERT_EQ(restored.residual(obs), model.residual(obs));
+    }
+}
+
+TEST(SubspaceSnapshotTest, PartialSpectrumFlagOtherThanOneFailsLoudly) {
+    lcg gen;
+    linalg::matrix x(30, 8);
+    for (double& v : x.data()) v = gen.uniform();
+    const auto model = subspace_model::fit(x, {.normal_dims = 3});
+    io::wire_writer w;
+    model.save(w);
+    // The model's payload opens with its PCA, whose last byte is the flag.
+    io::wire_writer pca_only;
+    linalg::save(pca_only, model.pca());
+    const std::size_t flag = pca_only.data().size() - 1;
+    std::vector<std::uint8_t> bytes(w.data().begin(), w.data().end());
+    ASSERT_EQ(bytes[flag], 1u);
+    for (std::uint8_t bad : {0, 2}) {
+        bytes[flag] = bad;
+        subspace_model restored;
+        io::wire_reader r(bytes);
+        EXPECT_THROW(restored.load(r), io::wire_error) << int(bad);
     }
 }
 

@@ -70,7 +70,7 @@ entropy_space_points make_known_points(
 
             const auto residual = model.residual(obs);
             const auto v = core::to_unit_norm(
-                core::flow_residual(m, residual, od));
+                core::flow_residual(residual, od));
             for (int f = 0; f < 4; ++f) out.x(row, f) = v[f];
             out.truth.push_back(static_cast<int>(ti));
             ++row;

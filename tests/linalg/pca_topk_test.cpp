@@ -1,7 +1,8 @@
-// fit_pca_topk vs fit_pca parity: leading eigenvalues, exact variance /
-// all three spectrum moments, subspace projectors, both eigenproblem
-// branches (Gram trick for wide data, covariance for tall data),
-// rank-deficient input, and the k >= order/2 fallback. The leading
+// fit_pca_topk parity against the full-basis fit fit_pca_topk(x,
+// x.cols()), which runs the full QL solver: leading eigenvalues, exact
+// variance / all three spectrum moments, subspace projectors, both
+// eigenproblem branches (Gram trick for wide data, covariance for tall
+// data), rank-deficient input, and the k >= order/2 fallback. The leading
 // eigenvalues and the three moments are every input of
 // subspace_model::q_threshold (subspace_model always fits through
 // fit_pca_topk).
@@ -38,10 +39,9 @@ double projector_gap(const la::matrix& v, const la::matrix& w) {
 
 void expect_topk_matches_full(const la::matrix& x, std::size_t k,
                               const char* what) {
-    const auto full = la::fit_pca(x);
+    const auto full = la::fit_pca_topk(x, x.cols());
     const auto part = la::fit_pca_topk(x, k);
 
-    ASSERT_TRUE(part.partial_spectrum);
     ASSERT_GE(part.components.cols(), std::min(k, x.cols())) << what;
     ASSERT_EQ(part.eigenvalues.size(), std::min(k, x.cols())) << what;
 
@@ -110,7 +110,7 @@ TEST(PcaTopkTest, RankDeficientDataCompletesTheBasis) {
     const la::matrix vtv = la::gram(part.components);
     EXPECT_LT(la::max_abs_diff(vtv, la::matrix::identity(6)), 1e-8);
 
-    const auto full = la::fit_pca(x);
+    const auto full = la::fit_pca_topk(x, x.cols());
     EXPECT_NEAR(part.total_variance, full.total_variance,
                 1e-9 * std::max(1.0, full.total_variance));
 }
@@ -118,7 +118,7 @@ TEST(PcaTopkTest, RankDeficientDataCompletesTheBasis) {
 TEST(PcaTopkTest, ProjectionApisWorkOnPartialFits) {
     const la::matrix x = rand_mat(60, 90, 31);
     const auto part = la::fit_pca_topk(x, 5);
-    const auto full = la::fit_pca(x);
+    const auto full = la::fit_pca_topk(x, x.cols());
     // SPE of a row against the leading 5 axes matches the full fit.
     for (std::size_t r : {0u, 17u, 59u}) {
         const double sp = la::squared_prediction_error(part, x.row(r), 5);

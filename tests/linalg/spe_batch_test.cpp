@@ -40,7 +40,7 @@ TEST(SpeBatchTest, BatchRowsMatchPerRowSpe) {
     for (auto [t, n] : {std::tuple{30u, 12u}, std::tuple{20u, 50u},
                         std::tuple{96u, 121u}}) {
         const auto x = structured_data(t, n, 77u + n);
-        const auto p = la::fit_pca(x);
+        const auto p = la::fit_pca_topk(x, x.cols());
         for (std::size_t m : {0u, 2u, 5u}) {
             const auto batch = la::squared_prediction_error_rows(p, x, m);
             ASSERT_EQ(batch.size(), t);
@@ -57,7 +57,7 @@ TEST(SpeBatchTest, FastSpeAgreesWithExplicitResidual) {
     // The identity ||x_c||^2 - sum scores^2 must agree with the residual
     // reconstruction it replaced, up to rounding.
     const auto x = structured_data(50, 40, 9);
-    const auto p = la::fit_pca(x);
+    const auto p = la::fit_pca_topk(x, x.cols());
     for (std::size_t r = 0; r < x.rows(); r += 7) {
         const auto res = la::residual(p, x.row(r), 5);
         double ref = 0.0;
@@ -76,7 +76,7 @@ TEST(SpeBatchTest, DegenerateObservationsReportNearZeroSpe) {
         for (std::size_t j = 0; j < 10; ++j)
             x(i, j) = std::sin(0.3 * static_cast<double>(i)) * (1.0 + static_cast<double>(j)) +
                       std::cos(0.2 * static_cast<double>(i));
-    const auto p = la::fit_pca(x);
+    const auto p = la::fit_pca_topk(x, x.cols());
     const auto spe = la::squared_prediction_error_rows(p, x, 4);
     for (double v : spe) EXPECT_LT(v, 1e-18);
 }
