@@ -7,38 +7,42 @@ namespace tfd::core {
 
 namespace {
 
-// n * log2(n) with a lookup table for small integral counts (the common
-// case: packet counts), avoiding two libm calls per histogram update.
+// n * log2(n) with a lookup table for small counts (the common case:
+// packet counts), avoiding a libm call per histogram update.
 constexpr std::size_t kNlognTableSize = 4096;
-
-double nlogn_slow(double n) noexcept {
-    return n > 0.0 ? n * std::log2(n) : 0.0;
-}
 
 // Namespace-scope (initialized before main) so lookups skip the
 // thread-safe magic-static guard that a function-local static would pay
 // on every call.
 const std::vector<double> kNlognTable = [] {
     std::vector<double> t(kNlognTableSize, 0.0);
-    for (std::size_t i = 2; i < kNlognTableSize; ++i)
-        t[i] = nlogn_slow(static_cast<double>(i));
+    for (std::size_t i = 2; i < kNlognTableSize; ++i) {
+        const auto n = static_cast<double>(i);
+        t[i] = n * std::log2(n);
+    }
     return t;
 }();
 
-double nlogn(double n) noexcept {
-    if (n >= 0.0 && n < static_cast<double>(kNlognTableSize)) {
-        const auto i = static_cast<std::size_t>(n);
-        if (static_cast<double>(i) == n) return kNlognTable[i];
-    }
-    return nlogn_slow(n);
+double nlogn(std::uint64_t n) noexcept {
+    if (n < kNlognTableSize) return kNlognTable[n];
+    const auto x = static_cast<double>(n);
+    return x * std::log2(x);
+}
+
+// Counts travel as f64 in the snapshot layout. Only a whole number in
+// [min, 2^53] converts back to the count that was saved.
+std::uint64_t read_count(io::wire_reader& r, double min, const char* what) {
+    const double c = r.f64();
+    if (!(c >= min && c <= 0x1p53 && c == std::floor(c))) r.fail(what);
+    return static_cast<std::uint64_t>(c);
 }
 
 }  // namespace
 
-void feature_histogram::add(std::uint32_t value, double count) {
-    if (count <= 0.0) return;
-    double& slot = counts_[value];
-    const double before = slot;
+void feature_histogram::add(std::uint32_t value, std::uint64_t count) {
+    if (count == 0) return;
+    std::uint64_t& slot = counts_[value];
+    const std::uint64_t before = slot;
     slot += count;
     total_ += count;
     sum_nlogn_ += nlogn(slot) - nlogn(before);
@@ -48,20 +52,21 @@ void feature_histogram::add(std::uint32_t value, double count) {
 void feature_histogram::recompute_sum_nlogn() noexcept {
     // Sum in sorted order: a canonical order independent of hash-table
     // iteration, so the periodic resync is exactly reproducible.
-    std::vector<double> ns;
+    std::vector<std::uint64_t> ns;
     ns.reserve(counts_.size());
-    counts_.for_each([&](std::uint32_t, double n) { ns.push_back(n); });
+    counts_.for_each([&](std::uint32_t, std::uint64_t n) { ns.push_back(n); });
     std::sort(ns.begin(), ns.end());
     double s = 0.0;
-    for (double n : ns) s += nlogn(n);
+    for (const std::uint64_t n : ns) s += nlogn(n);
     sum_nlogn_ = s;
     mutations_ = 0;
 }
 
 double feature_histogram::entropy_bits() const noexcept {
-    if (total_ <= 0.0 || counts_.size() < 2) return 0.0;
+    if (total_ == 0 || counts_.size() < 2) return 0.0;
     // H = -sum p log2 p = log2 S - (sum n log2 n) / S.
-    return std::max(0.0, std::log2(total_) - sum_nlogn_ / total_);
+    const auto total = static_cast<double>(total_);
+    return std::max(0.0, std::log2(total) - sum_nlogn_ / total);
 }
 
 double feature_histogram::normalized_entropy() const noexcept {
@@ -74,8 +79,9 @@ std::vector<std::pair<std::uint32_t, double>> feature_histogram::top(
     if (k == 0 || counts_.empty()) return {};
     std::vector<std::pair<std::uint32_t, double>> all;
     all.reserve(counts_.size());
-    counts_.for_each(
-        [&](std::uint32_t v, double n) { all.emplace_back(v, n); });
+    counts_.for_each([&](std::uint32_t v, std::uint64_t n) {
+        all.emplace_back(v, static_cast<double>(n));
+    });
     const auto by_count_desc = [](const auto& a, const auto& b) {
         return a.second > b.second ||
                (a.second == b.second && a.first < b.first);
@@ -93,18 +99,20 @@ std::vector<std::pair<std::uint32_t, double>> feature_histogram::top(
 std::vector<double> feature_histogram::rank_counts() const {
     std::vector<double> out;
     out.reserve(counts_.size());
-    counts_.for_each([&](std::uint32_t, double n) { out.push_back(n); });
+    counts_.for_each([&](std::uint32_t, std::uint64_t n) {
+        out.push_back(static_cast<double>(n));
+    });
     std::sort(out.begin(), out.end(), std::greater<>());
     return out;
 }
 
 double feature_histogram::count_of(std::uint32_t value) const noexcept {
-    return counts_.count_of(value);
+    return static_cast<double>(counts_.count_of(value));
 }
 
 void feature_histogram::clear() noexcept {
     counts_.clear();
-    total_ = 0.0;
+    total_ = 0;
     sum_nlogn_ = 0.0;
     mutations_ = 0;
 }
@@ -113,19 +121,20 @@ void feature_histogram::save(io::wire_writer& w) const {
     // Canonical order: ascending key, delta-encoded (sorted u32 gaps
     // pack small). Equal histograms always serialize to equal bytes,
     // independent of hash-table layout or insertion history.
-    std::vector<std::pair<std::uint32_t, double>> entries;
+    std::vector<std::pair<std::uint32_t, std::uint64_t>> entries;
     entries.reserve(counts_.size());
-    counts_.for_each(
-        [&](std::uint32_t v, double n) { entries.emplace_back(v, n); });
+    counts_.for_each([&](std::uint32_t v, std::uint64_t n) {
+        entries.emplace_back(v, n);
+    });
     std::sort(entries.begin(), entries.end());
     w.varint(entries.size());
     std::uint32_t prev = 0;
     for (const auto& [key, count] : entries) {
         w.varint(key - prev);
-        w.f64(count);
+        w.f64(static_cast<double>(count));
         prev = key;
     }
-    w.f64(total_);
+    w.f64(static_cast<double>(total_));
     w.f64(sum_nlogn_);
     w.varint(mutations_);
 }
@@ -139,21 +148,19 @@ void feature_histogram::load(io::wire_reader& r) {
     std::uint32_t key = 0;
     for (std::uint64_t i = 0; i < n; ++i) {
         key += static_cast<std::uint32_t>(r.varint());
-        const double count = r.f64();
-        // A nonpositive count would poison the open-addressing table
-        // (count == 0.0 marks an empty slot).
-        if (!(count > 0.0)) r.fail("feature_histogram: nonpositive count");
-        counts_[key] = count;
+        // A zero count would poison the open-addressing table (count
+        // == 0 marks an empty slot).
+        counts_[key] = read_count(r, 1.0, "feature_histogram: bad count");
     }
-    total_ = r.f64();
+    total_ = read_count(r, 0.0, "feature_histogram: bad total");
     sum_nlogn_ = r.f64();
     mutations_ = static_cast<std::size_t>(r.varint());
 }
 
 void feature_histogram_set::add_record(const flow::flow_record& r) {
-    const auto w = static_cast<double>(r.packets);
     for (int f = 0; f < flow::feature_count; ++f)
-        hists_[f].add(r.feature_value(static_cast<flow::feature>(f)), w);
+        hists_[f].add(r.feature_value(static_cast<flow::feature>(f)),
+                      r.packets);
     packets_ += r.packets;
     bytes_ += r.bytes;
     ++records_;

@@ -12,6 +12,7 @@
 #pragma once
 
 #include <array>
+#include <concepts>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -24,8 +25,8 @@ namespace tfd::core {
 
 namespace detail {
 
-/// Minimal open-addressing count table: uint32 keys, double counts,
-/// linear probing, power-of-two capacity, count == 0.0 marking an empty
+/// Minimal open-addressing count table: uint32 keys, uint64 counts,
+/// linear probing, power-of-two capacity, count == 0 marking an empty
 /// slot (histogram counts are always positive). One flat allocation and
 /// ~5ns inserts versus a node allocation per distinct value with
 /// std::unordered_map — the histogram accumulation hot path is mostly
@@ -34,30 +35,29 @@ class flat_u32_counts {
 public:
     struct entry {
         std::uint32_t key = 0;
-        double count = 0.0;
+        std::uint64_t count = 0;
     };
 
     std::size_t size() const noexcept { return size_; }
     bool empty() const noexcept { return size_ == 0; }
 
-    /// Find-or-insert. A newly inserted slot has count 0.0; the caller
+    /// Find-or-insert. A newly inserted slot has count 0; the caller
     /// must immediately make it positive (add() always does). The
     /// returned reference is invalidated by the next operator[].
-    double& operator[](std::uint32_t key) {
+    std::uint64_t& operator[](std::uint32_t key) {
         if (entries_.empty() || (size_ + 1) * 4 > capacity() * 3)
             grow(capacity() == 0 ? 16 : capacity() * 2);
         entry& e = entries_[probe(key)];
-        if (e.count == 0.0) {
+        if (e.count == 0) {
             e.key = key;
             ++size_;
         }
         return e.count;
     }
 
-    double count_of(std::uint32_t key) const noexcept {
-        if (entries_.empty()) return 0.0;
-        const entry& e = entries_[probe(key)];
-        return e.count != 0.0 ? e.count : 0.0;
+    std::uint64_t count_of(std::uint32_t key) const noexcept {
+        if (entries_.empty()) return 0;
+        return entries_[probe(key)].count;
     }
 
     /// Invoke fn(key, count) for every occupied slot, in table order
@@ -65,7 +65,7 @@ public:
     template <typename Fn>
     void for_each(Fn&& fn) const {
         for (const entry& e : entries_)
-            if (e.count != 0.0) fn(e.key, e.count);
+            if (e.count != 0) fn(e.key, e.count);
     }
 
     void reserve(std::size_t n) {
@@ -75,7 +75,7 @@ public:
     }
 
     void clear() noexcept {
-        for (entry& e : entries_) e.count = 0.0;
+        for (entry& e : entries_) e.count = 0;
         size_ = 0;
     }
 
@@ -106,7 +106,7 @@ private:
     std::size_t probe(std::uint32_t key) const noexcept {
         const std::size_t mask = capacity() - 1;
         std::size_t i = home_slot(key);
-        while (entries_[i].count != 0.0 && entries_[i].key != key)
+        while (entries_[i].count != 0 && entries_[i].key != key)
             i = (i + 1) & mask;
         return i;
     }
@@ -115,7 +115,7 @@ private:
         std::vector<entry> old = std::move(entries_);
         entries_.assign(new_cap, entry{});
         for (const entry& e : old)
-            if (e.count != 0.0) entries_[probe(e.key)] = e;
+            if (e.count != 0) entries_[probe(e.key)] = e;
     }
 
     std::vector<entry> entries_;
@@ -126,6 +126,12 @@ private:
 
 /// Packet-count histogram over one traffic feature's values.
 ///
+/// Counts are whole packets, held as std::uint64_t: add() takes an
+/// integer weight (a floating-point one does not compile), and the
+/// Σ n·log2 n table is indexed by the count itself. The read API
+/// (total(), count_of(), top(), rank_counts()) reports counts as
+/// doubles, exact below 2^53.
+///
 /// Sample entropy is maintained incrementally: add() updates a running
 /// sum_nlogn = sum_i n_i log2 n_i accumulator (H = log2 S - sum_nlogn/S),
 /// making entropy_bits() O(1) instead of a copy + sort per call. To bound
@@ -135,14 +141,19 @@ private:
 /// entropy-affecting structural change.
 class feature_histogram {
 public:
-    /// Add `count` observations of `value` (count <= 0 is ignored).
-    void add(std::uint32_t value, double count = 1.0);
+    /// Add `count` observations of `value` (count == 0 is ignored).
+    void add(std::uint32_t value, std::uint64_t count = 1);
+
+    /// Fractional weights are not counts: a floating-point weight fails
+    /// to compile instead of being truncated.
+    template <std::floating_point F>
+    void add(std::uint32_t value, F count) = delete;
 
     /// Number of distinct values (N).
     std::size_t distinct() const noexcept { return counts_.size(); }
 
     /// Total observations (S).
-    double total() const noexcept { return total_; }
+    double total() const noexcept { return static_cast<double>(total_); }
 
     bool empty() const noexcept { return counts_.empty(); }
 
@@ -180,7 +191,8 @@ public:
     void save(io::wire_writer& w) const;
 
     /// Restore from save() output (contents replaced). Throws
-    /// io::wire_error on truncated or inconsistent payloads.
+    /// io::wire_error on truncated or inconsistent payloads, including a
+    /// count that is not a whole number in [1, 2^53].
     void load(io::wire_reader& r);
 
 private:
@@ -190,7 +202,7 @@ private:
     void recompute_sum_nlogn() noexcept;
 
     detail::flat_u32_counts counts_;
-    double total_ = 0.0;
+    std::uint64_t total_ = 0;
     double sum_nlogn_ = 0.0;           ///< sum_i n_i * log2(n_i)
     std::size_t mutations_ = 0;        ///< since last exact recompute
 };

@@ -30,7 +30,7 @@ std::size_t od_resolver::resolve_batch(std::span<const flow_record> records,
             ++resolved;
             continue;
         }
-        out[i] = -1;
+        out[i] = drop_code(why);
         if (dropped) dropped->count(why);
     }
     return resolved;

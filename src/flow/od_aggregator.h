@@ -35,6 +35,13 @@ enum class resolve_failure {
     unresolvable_egress,  ///< destination outside every PoP prefix
 };
 
+/// The code od_resolver::resolve_batch writes for a record it could not
+/// attribute: the negated reason, so -1 is an unknown ingress and -2 an
+/// unresolvable egress. Every OD index is >= 0.
+constexpr int drop_code(resolve_failure why) noexcept {
+    return -static_cast<int>(why);
+}
+
 /// Per-reason tallies of records dropped during OD attribution. Real
 /// exports contain both kinds, and they point at different operational
 /// problems (broken capture metadata vs. off-net destinations), so they
@@ -51,6 +58,16 @@ struct drop_counts {
         if (why == resolve_failure::unknown_ingress) ++unknown_ingress;
         else if (why == resolve_failure::unresolvable_egress)
             ++unresolvable_egress;
+    }
+    /// Tally the reason codes in a resolve_batch output (entries >= 0
+    /// are resolved records and count nothing).
+    void count_codes(std::span<const int> ods) noexcept {
+        for (const int od : ods) {
+            unknown_ingress +=
+                od == drop_code(resolve_failure::unknown_ingress);
+            unresolvable_egress +=
+                od == drop_code(resolve_failure::unresolvable_egress);
+        }
     }
     drop_counts& operator+=(const drop_counts& o) noexcept {
         unknown_ingress += o.unknown_ingress;
@@ -72,10 +89,15 @@ public:
     std::optional<int> resolve(const flow_record& r,
                                resolve_failure* why = nullptr) const noexcept;
 
-    /// Batch resolve for the shard layer: writes one OD index per record
-    /// into `out` (-1 for unresolvable), sized to `records.size()`.
-    /// Per-reason drop tallies are accumulated into `dropped` if non-null.
-    /// Returns the number of resolved records.
+    /// Batch resolve for the shard layer: sizes `out` to
+    /// `records.size()` and writes each record's OD index, or for a
+    /// record it cannot attribute the reason's drop_code (-1 unknown
+    /// ingress, -2 unresolvable egress), so one pass over `out` with
+    /// drop_counts::count_codes recovers the per-reason tallies of any
+    /// sub-range. Per-reason tallies of the whole batch are also
+    /// accumulated into `dropped` if non-null. Returns the number of
+    /// resolved records. Const and reads only the topology, so threads
+    /// may share one resolver.
     std::size_t resolve_batch(std::span<const flow_record> records,
                               std::vector<int>& out,
                               drop_counts* dropped = nullptr) const;

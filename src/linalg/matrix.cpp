@@ -123,6 +123,7 @@ namespace {
 // derived from the worker count) so block boundaries — and therefore
 // results — are machine-independent.
 constexpr std::size_t kRowBlock = 32;   // output rows per parallel task
+constexpr std::size_t kColTile = 256;   // output columns per multiply task
 constexpr std::size_t kDepthTile = 64;  // k-tile kept hot in cache
 
 }  // namespace
@@ -132,18 +133,33 @@ matrix multiply(const matrix& a, const matrix& b) {
         throw std::invalid_argument("multiply: inner dimension mismatch");
     matrix c(a.rows(), b.cols());
     const std::size_t k_dim = a.cols(), m = b.cols();
-    // Each task owns a block of output rows; within the block, k is tiled
-    // so the touched rows of B stay cache-resident while the row-update
-    // micro-kernel accumulates. Tiling k does not reorder the per-element
-    // reduction (k still ascends), so under the scalar ISA this matches
-    // the naive reference bit for bit; under fma256 the same order runs
-    // with fused multiply-adds (tolerance-level parity, see linalg/simd.h).
-    parallel_for_blocked(a.rows(), kRowBlock, [&](std::size_t i0, std::size_t i1) {
-        for (std::size_t k0 = 0; k0 < k_dim; k0 += kDepthTile) {
-            const std::size_t k1 = std::min(k0 + kDepthTile, k_dim);
-            for (std::size_t i = i0; i < i1; ++i)
-                simd::gemm_row_update(c.row(i).data(), a.row(i).data() + k0, 1,
-                                      b.row(k0).data(), m, k1 - k0, m);
+    // Each task owns a block of output rows times a tile of output
+    // columns, so a product with few rows (the 10-row Gram-trick axis
+    // product) still spreads over the pool. Within a task, k is tiled
+    // so the touched part of B stays cache-resident while the
+    // row-update micro-kernel accumulates. Neither tiling reorders the
+    // per-element reduction: k still ascends, and a column tile is a
+    // multiple of the micro-kernel's 32-column step, so every element
+    // takes the path it would take in a whole-row update. Under the
+    // scalar ISA this matches the naive reference bit for bit; under
+    // fma256 the same order runs with fused multiply-adds
+    // (tolerance-level parity, see linalg/simd.h).
+    const std::size_t col_tiles = (m + kColTile - 1) / kColTile;
+    const std::size_t tasks = (a.rows() + kRowBlock - 1) / kRowBlock * col_tiles;
+    parallel_for_blocked(tasks, 1, [&](std::size_t t0, std::size_t t1) {
+        for (std::size_t t = t0; t < t1; ++t) {
+            const std::size_t i0 = t / col_tiles * kRowBlock;
+            const std::size_t i1 = std::min(i0 + kRowBlock, a.rows());
+            const std::size_t j0 = t % col_tiles * kColTile;
+            const std::size_t width = std::min(j0 + kColTile, m) - j0;
+            for (std::size_t k0 = 0; k0 < k_dim; k0 += kDepthTile) {
+                const std::size_t k1 = std::min(k0 + kDepthTile, k_dim);
+                for (std::size_t i = i0; i < i1; ++i)
+                    simd::gemm_row_update(c.row(i).data() + j0,
+                                          a.row(i).data() + k0, 1,
+                                          b.row(k0).data() + j0, m, k1 - k0,
+                                          width);
+            }
         }
     });
     return c;

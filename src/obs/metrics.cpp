@@ -182,11 +182,13 @@ std::string metrics_registry::render_prometheus() const {
 
 stage_timers register_stage_timers(metrics_registry& reg) {
     stage_timers t;
-    t.decode = &reg.get_histogram("tfd_stage_decode_seconds",
-                                  "Codec frame decode latency.");
-    t.accumulate =
-        &reg.get_histogram("tfd_stage_accumulate_seconds",
-                           "Resolve + shard accumulation latency per push.");
+    t.decode = &reg.get_histogram(
+        "tfd_stage_decode_seconds",
+        "Codec frame decode latency (run(): decode + OD resolve).");
+    t.accumulate = &reg.get_histogram(
+        "tfd_stage_accumulate_seconds",
+        "Ingest latency per push (resolve + shard accumulation; run(): "
+        "shard accumulation only).");
     t.bin_close = &reg.get_histogram(
         "tfd_stage_bin_close_seconds",
         "Bin close latency (harvest + detector push) per emitted bin.");

@@ -111,8 +111,13 @@ private:
 /// the cost of one branch. register_stage_timers() builds the
 /// canonical set backed by a registry.
 struct stage_timers {
-    latency_histogram* decode = nullptr;            ///< codec frame decode
-    latency_histogram* accumulate = nullptr;        ///< resolve + shard accumulate (per push)
+    /// Per codec frame. In stream_pipeline::run() this is the decode
+    /// thread's whole per-frame work: decode plus OD resolve.
+    latency_histogram* decode = nullptr;
+    /// Per push() or run() frame, on the consuming thread: resolve +
+    /// shard accumulate for push(); shard accumulate only in run(),
+    /// whose decode thread resolves.
+    latency_histogram* accumulate = nullptr;
     latency_histogram* bin_close = nullptr;         ///< harvest + detector push (per bin)
     latency_histogram* refit = nullptr;             ///< online detector model refit
     latency_histogram* checkpoint_write = nullptr;  ///< snapshot write attempt

@@ -99,13 +99,19 @@ void stream_pipeline::reset_time_base(std::size_t bin) {
 }
 
 void stream_pipeline::push(std::span<const flow::flow_record> records) {
-    if (records.empty()) return;
     // The accumulation clock covers resolve + routing + shard work, so
     // records_per_second() reflects the full per-record ingest cost.
-    // The same clock (bin closures excluded) feeds the per-push
-    // accumulate stage histogram when one is attached.
+    const std::uint64_t t0 = now_ns();
+    resolver_.resolve_batch(records, od_scratch_);
+    ingest(records, od_scratch_, t0);
+}
+
+void stream_pipeline::ingest(std::span<const flow::flow_record> records,
+                             std::span<const int> ods, std::uint64_t t0) {
+    if (records.empty()) return;
+    // The same clock (bin closures excluded) feeds the accumulate stage
+    // histogram, once per call, when one is attached.
     std::uint64_t push_accum_ns = 0;
-    std::uint64_t t0 = now_ns();
     // Bin closures are timed separately (bin_close_ns), so the
     // accumulation clock pauses around them.
     const auto pause_clock = [&] {
@@ -116,20 +122,25 @@ void stream_pipeline::push(std::span<const flow::flow_record> records) {
 
     // Process maximal same-bin runs so shard fan-out happens once per
     // run, not once per record. All per-record accounting (records_in,
-    // resolver drops) is at run granularity and happens AFTER any bin
-    // closes the run triggers: at every on_bin callback the counters
-    // describe exactly the records consumed so far, so
-    // metrics().records_in doubles as the drained stream position a
-    // checkpoint needs for exact resume.
+    // resolver drops, counted from the run's reason codes) is at run
+    // granularity and happens AFTER any bin closes the run triggers: at
+    // every on_bin callback the counters describe exactly the records
+    // consumed so far, so metrics().records_in doubles as the drained
+    // stream position a checkpoint needs for exact resume. A batch can
+    // span a bin boundary, so its drops are never counted all at once.
     std::size_t i = 0;
     const std::size_t n = records.size();
     while (i < n) {
         const std::size_t bin = flow::bin_index(records[i].first_us, opts_.bin_us);
+        // The run is the records in [start, start + bin_us): two compares
+        // per record instead of a 64-bit division.
+        const std::uint64_t start = bin * opts_.bin_us;
         std::size_t j = i + 1;
-        while (j < n &&
-               flow::bin_index(records[j].first_us, opts_.bin_us) == bin)
+        while (j < n && records[j].first_us >= start &&
+               records[j].first_us - start < opts_.bin_us)
             ++j;
         const auto run = records.subspan(i, j - i);
+        const auto run_ods = ods.subspan(i, j - i);
         // A record is late when its bin has already been scored: behind
         // the cursor, or — after finish()/run() closed the stream — at
         // or below the last emitted bin. Late records cannot be
@@ -140,10 +151,9 @@ void stream_pipeline::push(std::span<const flow::flow_record> records) {
         const bool late =
             bin_open_ ? bin < current_bin_ : started && bin <= current_bin_;
         if (late && current_bin_ - bin <= opts_.max_gap_bins) {
-            resolver_.resolve_batch(run, od_scratch_,
-                                    &metrics_.resolver_drops);
-            for (std::size_t k = 0; k < run.size(); ++k)
-                if (od_scratch_[k] >= 0) ++metrics_.late_records;
+            metrics_.resolver_drops.count_codes(run_ods);
+            for (const int od : run_ods)
+                if (od >= 0) ++metrics_.late_records;
             metrics_.records_in += run.size();
             i = j;
             continue;
@@ -174,9 +184,8 @@ void stream_pipeline::push(std::span<const flow::flow_record> records) {
             }
             t0 = now_ns();
         }
-        resolver_.resolve_batch(run, od_scratch_, &metrics_.resolver_drops);
+        metrics_.resolver_drops.count_codes(run_ods);
         metrics_.records_in += run.size();
-        const std::span<const int> run_ods(od_scratch_.data(), run.size());
         const std::uint64_t before = shards_.pending_records();
         const std::uint64_t bad0 = shards_.records_dropped_bad_od();
         shards_.accumulate(run, run_ods);
@@ -204,24 +213,30 @@ std::size_t stream_pipeline::run(flow_codec_reader& reader) {
     // only this run's delta into the pipeline metrics (readers may be
     // reused, pipelines may drain several readers).
     const quarantine_stats q0 = reader.quarantine();
-    bounded_queue<std::vector<flow::flow_record>> queue(opts_.queue_frames);
+    bounded_queue<resolved_frame> queue(opts_.queue_frames);
     // Queue depth + one in flight on each side bounds how many buffers
     // can circulate, so the ring never needs to hold more than that.
     frame_ring ring(opts_.queue_frames + 2);
     std::exception_ptr producer_error;
 
-    // The decode stage histogram is fed from the producer thread; the
-    // histogram's buckets are atomics, so this is scrape-safe.
+    // The producer decodes and resolves each frame, so the consuming
+    // thread only accumulates and scores; the resolver is const and
+    // reads only the topology. Drops are tallied from the frame's
+    // reason codes on the consuming thread, run by run, so metrics_
+    // has one writer. The decode stage histogram is fed from the
+    // producer thread and spans decode plus resolve; the histogram's
+    // buckets are atomics, so this is scrape-safe.
     obs::latency_histogram* decode_timer =
         opts_.timers ? opts_.timers->decode : nullptr;
     std::thread producer([&] {
         try {
-            std::vector<flow::flow_record> frame = ring.acquire();
+            resolved_frame frame = ring.acquire();
             for (;;) {
                 bool got;
                 {
                     obs::stage_span span(decode_timer);
-                    got = reader.next_frame(frame);
+                    got = reader.next_frame(frame.records);
+                    if (got) resolver_.resolve_batch(frame.records, frame.ods);
                 }
                 if (!got) break;
                 if (!queue.push(std::move(frame))) break;
@@ -237,12 +252,12 @@ std::size_t stream_pipeline::run(flow_codec_reader& reader) {
     std::exception_ptr consumer_error;
     try {
         while (auto frame = queue.pop()) {
-            push(*frame);
+            ingest(frame->records, frame->ods, now_ns());
             ring.release(std::move(*frame));
             ++frames;
         }
     } catch (...) {
-        // push() (e.g. a throwing on_bin callback) must not leave the
+        // ingest() (e.g. a throwing on_bin callback) must not leave the
         // producer blocked on a full queue with a joinable thread going
         // out of scope — that would be std::terminate.
         consumer_error = std::current_exception();

@@ -4,7 +4,7 @@
 // batches) into per-bin entropy snapshots and feeds them to the online
 // detector, bin by bin:
 //
-//   frames -> [bounded queue] -> resolve -> shard accumulate
+//   frames -> decode + resolve -> [bounded queue] -> shard accumulate
 //          -> (bin boundary) harvest -> online_detector::push -> verdict
 //
 // "Bin-synchronous" means the pipeline never scores a bin until every
@@ -16,8 +16,8 @@
 // are counted as late drops (`metrics().late_records`), mirroring what
 // a real collector does with straggler exports.
 //
-// Backpressure: run() decodes frames on a producer thread into a
-// bounded queue and consumes them on the calling thread. When
+// Backpressure: run() decodes and resolves frames on a producer thread
+// into a bounded queue and consumes them on the calling thread. When
 // accumulation + detection falls behind, the queue fills and the
 // producer blocks in push() — ingest slows to the pipeline's pace
 // instead of buffering the trace in RAM. `bounded_queue` counts blocked
@@ -121,7 +121,15 @@ private:
     std::size_t high_watermark_ = 0;
 };
 
-/// A bounded free-list of decoded-frame buffers. run()'s producer
+/// One decoded codec frame with its records' OD indices: the
+/// od_resolver::resolve_batch output, reason codes included. run()'s
+/// decode thread fills it and the consuming thread accumulates it.
+struct resolved_frame {
+    std::vector<flow::flow_record> records;
+    std::vector<int> ods;
+};
+
+/// A bounded free-list of resolved-frame buffers. run()'s producer
 /// thread acquires a recycled buffer before each decode and the
 /// consumer releases buffers after accumulation, so steady-state
 /// streaming performs no per-frame allocation: the ring caps out at
@@ -135,10 +143,10 @@ public:
         : capacity_(capacity == 0 ? 1 : capacity) {}
 
     /// A recycled buffer (cleared, capacity intact) or a fresh one.
-    std::vector<flow::flow_record> acquire() {
+    resolved_frame acquire() {
         std::lock_guard lock(mu_);
         if (free_.empty()) return {};
-        std::vector<flow::flow_record> buf = std::move(free_.back());
+        resolved_frame buf = std::move(free_.back());
         free_.pop_back();
         ++reuses_;
         return buf;
@@ -146,8 +154,9 @@ public:
 
     /// Return a consumed buffer to the ring (dropped if the ring is
     /// already holding `capacity` buffers).
-    void release(std::vector<flow::flow_record>&& buf) {
-        buf.clear();
+    void release(resolved_frame&& buf) {
+        buf.records.clear();
+        buf.ods.clear();
         std::lock_guard lock(mu_);
         if (free_.size() < capacity_) free_.push_back(std::move(buf));
     }
@@ -161,7 +170,7 @@ public:
 private:
     const std::size_t capacity_;
     mutable std::mutex mu_;
-    std::vector<std::vector<flow::flow_record>> free_;
+    std::vector<resolved_frame> free_;
     std::uint64_t reuses_ = 0;
 };
 
@@ -183,10 +192,12 @@ struct pipeline_options {
     /// empty harvests nor poisons the time base so every later sane
     /// record gets late-dropped. Default: one week of 5-minute bins.
     std::size_t max_gap_bins = 2016;
-    /// Optional per-stage latency histograms (obs/metrics.h): frame
-    /// decode, resolve+accumulate per push, and bin close feed the
-    /// corresponding members when non-null. Observability-only — not
-    /// part of the config fingerprint, never changes behaviour.
+    /// Optional per-stage latency histograms (obs/metrics.h) fed when
+    /// non-null: decode per frame (in run(), the decode thread's whole
+    /// per-frame work: decode plus resolve), accumulate per push() or
+    /// frame (push(): resolve plus shard work; run(): shard work only),
+    /// and bin close. Observability-only — not part of the config
+    /// fingerprint, never changes behaviour.
     obs::stage_timers* timers = nullptr;
 };
 
@@ -228,7 +239,10 @@ struct pipeline_metrics {
     std::uint64_t empty_bins = 0;           ///< gap bins emitted with no records
     std::uint64_t time_base_resets = 0;     ///< jumps > max_gap_bins, either way
     std::uint64_t anomalies = 0;
-    std::uint64_t accumulate_ns = 0;  ///< resolve + shard accumulation
+    /// Consuming-thread ingest time: resolve + shard accumulation in
+    /// push(); in run() resolve runs on the decode thread, so only the
+    /// shard accumulation.
+    std::uint64_t accumulate_ns = 0;
     std::uint64_t bin_close_ns = 0;   ///< harvest + detector push, total
     std::uint64_t max_bin_close_ns = 0;
     /// Decoded-frame buffers served from the recycling ring across all
@@ -258,11 +272,13 @@ struct pipeline_metrics {
                                  : static_cast<double>(bin_close_ns) / 1e6 /
                                        static_cast<double>(bins_emitted);
     }
-    /// Ingest throughput over time spent *inside* the pipeline
-    /// (accumulate + bin close) — not wall clock, so idle time between
-    /// pushes does not dilute it. Counts only records that survived
-    /// resolve + lateness (records_accumulated). Returns 0.0 until any
-    /// pipeline time has been spent (never divides by zero).
+    /// Ingest throughput over time spent *inside* the pipeline on the
+    /// consuming thread (accumulate_ns + bin close) — not wall clock, so
+    /// idle time between pushes does not dilute it, and in run() the
+    /// decode thread's decode and resolve are not in it. Counts only
+    /// records that survived resolve + lateness (records_accumulated).
+    /// Returns 0.0 until any pipeline time has been spent (never divides
+    /// by zero).
     double records_per_second() const noexcept {
         const double ns =
             static_cast<double>(accumulate_ns) + static_cast<double>(bin_close_ns);
@@ -305,10 +321,11 @@ public:
     /// the on_bin callback.
     void push(std::span<const flow::flow_record> records);
 
-    /// Drain an entire codec stream: decodes frames on a producer
-    /// thread, consumes them here through a bounded queue (capacity
-    /// opts.queue_frames), then finishes the open bin. Returns frames
-    /// consumed; rethrows codec errors on this thread.
+    /// Drain an entire codec stream: decodes and resolves frames on a
+    /// producer thread, consumes them here through a bounded queue
+    /// (capacity opts.queue_frames) with push()'s per-run accounting,
+    /// then finishes the open bin. Returns frames consumed; rethrows
+    /// codec errors on this thread.
     std::size_t run(flow_codec_reader& reader);
 
     /// Close the currently open bin (if any) and emit it. A later push()
@@ -359,6 +376,11 @@ public:
     void restore_state(const io::snapshot_reader& snap);
 
 private:
+    /// The per-run loop push() and run() share: `ods[i]` is the
+    /// resolve_batch output for `records[i]`, and the accumulation
+    /// clock started at `t0`.
+    void ingest(std::span<const flow::flow_record> records,
+                std::span<const int> ods, std::uint64_t t0);
     void emit_bin(std::size_t bin);
     void close_bin();
     void reset_time_base(std::size_t bin);
@@ -371,7 +393,7 @@ private:
     std::function<void(const lifecycle_event&)> lifecycle_cb_;
     pipeline_metrics metrics_;
     bin_result scratch_;           ///< reused harvest/verdict buffer
-    std::vector<int> od_scratch_;  ///< reused resolve_batch output
+    std::vector<int> od_scratch_;  ///< push()'s reused resolve_batch output
     std::size_t current_bin_ = 0;
     bool bin_open_ = false;
     std::uint64_t last_run_blocked_pushes_ = 0;

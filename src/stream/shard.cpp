@@ -38,9 +38,9 @@ void od_shard_set::accumulate(std::span<const flow::flow_record> records,
         if (od < 0) continue;  // resolver drop, counted upstream
         if (od >= od_count_) {
             // A positive out-of-range OD is not a resolve failure — the
-            // resolver only ever emits -1 or a valid index — so it must
-            // be counted here or the record vanishes from the
-            // records_in == accumulated + late + drops ledger.
+            // resolver only ever emits a negative reason code or a valid
+            // index — so it must be counted here or the record vanishes
+            // from the records_in == accumulated + late + drops ledger.
             ++dropped_bad_od_;
             continue;
         }

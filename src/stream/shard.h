@@ -63,8 +63,8 @@ public:
 
     /// Accumulate a batch into the current bin's cells, in parallel over
     /// shards. `ods[i]` is the OD index of `records[i]` (from
-    /// od_resolver::resolve_batch); records with od < 0 are skipped
-    /// (the resolver already counted them as drops). Records with
+    /// od_resolver::resolve_batch); records with od < 0 (the resolver's
+    /// reason codes, counted as drops upstream) are skipped. Records with
     /// od >= od_count() are also skipped, but counted in
     /// records_dropped_bad_od() — they indicate a broken producer, not
     /// a resolve failure, and must not vanish from the conservation

@@ -70,12 +70,20 @@ TEST(EntropyTest, ScaleInvariant) {
     EXPECT_NEAR(a.entropy_bits(), b.entropy_bits(), 1e-12);
 }
 
-TEST(EntropyTest, NegativeAndZeroCountsIgnored) {
+// Counts are whole packets: a floating-point weight must not compile,
+// so no caller can have one truncated.
+template <typename W>
+concept histogram_weight = requires(feature_histogram& h, W w) { h.add(1u, w); };
+static_assert(histogram_weight<int>);
+static_assert(histogram_weight<std::uint64_t>);
+static_assert(!histogram_weight<double>);
+static_assert(!histogram_weight<float>);
+
+TEST(EntropyTest, ZeroCountIgnored) {
     feature_histogram h;
-    h.add(1, 0.0);
-    h.add(2, -5.0);
+    h.add(1, 0);
     EXPECT_TRUE(h.empty());
-    h.add(3, 2.0);
+    h.add(3, 2);
     EXPECT_EQ(h.distinct(), 1u);
 }
 
@@ -85,7 +93,7 @@ TEST(EntropyTest, ConcentrationLowersEntropy) {
     feature_histogram base;
     for (int i = 0; i < 64; ++i) base.add(i, 10);
     double prev = base.entropy_bits();
-    for (double extra : {100.0, 1000.0, 10000.0}) {
+    for (std::uint64_t extra : {100u, 1000u, 10000u}) {
         feature_histogram h;
         for (int i = 0; i < 64; ++i) h.add(i, 10);
         h.add(0, extra);
@@ -167,14 +175,14 @@ TEST(FlatCountsTest, AnonymizedKeysSpreadOverHomeSlots) {
     }
     std::set<std::size_t> homes;
     for (const std::uint32_t k : keys) {
-        t[k] = 1.0;
+        t[k] = 1;
         homes.insert(t.home_slot(k));
     }
     ASSERT_EQ(t.capacity(), 128u);  // 96 keys fit without growing
     EXPECT_EQ(t.size(), 96u);
     double probes = 0.0;
     for (const std::uint32_t k : keys) {
-        EXPECT_EQ(t.count_of(k), 1.0);
+        EXPECT_EQ(t.count_of(k), 1u);
         probes += static_cast<double>(t.probe_length(k));
     }
     EXPECT_GE(homes.size(), 48u);
@@ -242,8 +250,8 @@ TEST(EntropyInvariantTest, ConcavityUnderMixing) {
     // H(lambda*p + (1-lambda)*q) >= lambda*H(p) + (1-lambda)*H(q) for
     // distributions over the same support.
     feature_histogram p, q, mix;
-    const double pc[4] = {40, 30, 20, 10};
-    const double qc[4] = {5, 10, 25, 60};
+    const std::uint64_t pc[4] = {40, 30, 20, 10};
+    const std::uint64_t qc[4] = {5, 10, 25, 60};
     for (int i = 0; i < 4; ++i) {
         p.add(i, pc[i]);
         q.add(i, qc[i]);
@@ -263,7 +271,7 @@ TEST(EntropyInvariantTest, GroupingRuleOnDisjointSupports) {
     q.add(100, 5);
     q.add(200, 5);
     q.add(300, 10);
-    for (auto [v, c] : std::initializer_list<std::pair<int, double>>{
+    for (auto [v, c] : std::initializer_list<std::pair<int, std::uint64_t>>{
              {1, 30}, {2, 10}, {100, 5}, {200, 5}, {300, 10}})
         mix.add(v, c);
     const double lambda = 40.0 / 60.0;
@@ -278,7 +286,7 @@ TEST(EntropyInvariantTest, GroupingRuleOnDisjointSupports) {
 TEST(EntropyInvariantTest, PermutationInvariance) {
     // Entropy depends only on the multiset of counts, not the values.
     feature_histogram a, b;
-    const double counts[5] = {7, 1, 19, 3, 3};
+    const std::uint64_t counts[5] = {7, 1, 19, 3, 3};
     for (int i = 0; i < 5; ++i) a.add(1000 + i, counts[i]);
     for (int i = 0; i < 5; ++i) b.add(99 * i + 5, counts[4 - i]);
     EXPECT_NEAR(a.entropy_bits(), b.entropy_bits(), 1e-12);

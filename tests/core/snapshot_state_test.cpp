@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "core/histogram.h"
 #include "core/online.h"
@@ -50,7 +51,7 @@ TEST(HistogramSnapshotTest, ResumedHistogramIsBitIdentical) {
     // least one exact recompute (interval 4096).
     for (int i = 0; i < 6000; ++i)
         a.add(static_cast<std::uint32_t>(gen.next() % 700),
-              static_cast<double>(1 + gen.next() % 9));
+              1 + gen.next() % 9);
 
     io::wire_writer w;
     a.save(w);
@@ -71,9 +72,9 @@ TEST(HistogramSnapshotTest, ResumedHistogramIsBitIdentical) {
     lcg ga = gen, gb = gen;
     for (int i = 0; i < 3000; ++i) {
         a.add(static_cast<std::uint32_t>(ga.next() % 900),
-              static_cast<double>(1 + ga.next() % 9));
+              1 + ga.next() % 9);
         b.add(static_cast<std::uint32_t>(gb.next() % 900),
-              static_cast<double>(1 + gb.next() % 9));
+              1 + gb.next() % 9);
         ASSERT_EQ(b.entropy_bits(), a.entropy_bits()) << "diverged at add " << i;
     }
 }
@@ -83,9 +84,9 @@ TEST(HistogramSnapshotTest, SerializationIsCanonical) {
     // (different hash-table layouts) serialize to identical bytes.
     feature_histogram fwd, rev;
     for (int i = 0; i < 100; ++i)
-        fwd.add(static_cast<std::uint32_t>(i), 2.0);
+        fwd.add(static_cast<std::uint32_t>(i), 2);
     for (int i = 99; i >= 0; --i)
-        rev.add(static_cast<std::uint32_t>(i), 2.0);
+        rev.add(static_cast<std::uint32_t>(i), 2);
     // Align the incremental-accumulator state exactly: same mutation
     // count, and each slot reached its value in one add.
     io::wire_writer wf, wr;
@@ -124,23 +125,40 @@ TEST(HistogramSnapshotTest, SetRoundTripPreservesVolumeCounters) {
 
 TEST(HistogramSnapshotTest, CorruptPayloadFailsLoudly) {
     feature_histogram a;
-    a.add(1, 2.0);
+    a.add(1, 2);
     io::wire_writer w;
     a.save(w);
     // Truncated payload.
     feature_histogram b;
     io::wire_reader cut(w.data().subspan(0, w.data().size() - 2));
     EXPECT_THROW(b.load(cut), io::wire_error);
-    // A zero count would poison the open-addressing table.
-    io::wire_writer bad;
-    bad.varint(1);
-    bad.varint(5);
-    bad.f64(0.0);
-    bad.f64(0.0);
-    bad.f64(0.0);
-    bad.varint(0);
-    io::wire_reader br(bad.data());
-    EXPECT_THROW(b.load(br), io::wire_error);
+    // A one-entry histogram whose count is `count`. Counts travel as
+    // f64; only a whole number in [1, 2^53] is a packet count: a zero
+    // would poison the open-addressing table, and the rest have no
+    // exact integer value.
+    const auto with_count = [](double count) {
+        io::wire_writer bad;
+        bad.varint(1);
+        bad.varint(5);
+        bad.f64(count);
+        bad.f64(count);
+        bad.f64(0.0);
+        bad.varint(0);
+        return bad;
+    };
+    for (const double count : {0.0, 0.5, 2.25, -1.0, -0.0, std::nan(""),
+                               std::numeric_limits<double>::infinity(),
+                               0x1p53 + 2.0, 1e300}) {
+        const io::wire_writer bad = with_count(count);
+        io::wire_reader br(bad.data());
+        EXPECT_THROW(b.load(br), io::wire_error) << count;
+    }
+    for (const double count : {1.0, 0x1p53}) {
+        const io::wire_writer good = with_count(count);
+        io::wire_reader gr(good.data());
+        b.load(gr);
+        EXPECT_EQ(b.count_of(5), count);
+    }
 }
 
 TEST(SubspaceSnapshotTest, RestoredModelScoresIdentically) {

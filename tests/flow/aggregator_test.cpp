@@ -187,8 +187,13 @@ TEST(OdResolverTest, BatchResolveReportsReasons) {
     EXPECT_EQ(resolved, 1u);
     ASSERT_EQ(ods.size(), 3u);
     EXPECT_EQ(ods[0], topo.od_index(3, 7));
-    EXPECT_EQ(ods[1], -1);
-    EXPECT_EQ(ods[2], -1);
+    EXPECT_EQ(ods[1], -1);  // unknown ingress
+    EXPECT_EQ(ods[2], -2);  // unresolvable egress
     EXPECT_EQ(dropped.unknown_ingress, 1u);
     EXPECT_EQ(dropped.unresolvable_egress, 1u);
+    // The codes alone recover the same tallies.
+    drop_counts from_codes;
+    from_codes.count_codes(ods);
+    EXPECT_EQ(from_codes.unknown_ingress, 1u);
+    EXPECT_EQ(from_codes.unresolvable_egress, 1u);
 }

@@ -116,12 +116,15 @@ TEST(ParallelForTest, BlocksCoverRangeWithoutOverlap) {
 // acceptance bar was 1e-12; the design gives exactly 0). Under fma256
 // the same order runs with fused multiply-adds, so parity is bounded by
 // a contraction tolerance proportional to the reduction depth.
+// 10 x 576 x 1936 is the Gram-trick axis product: fewer rows than one
+// row block and several column tiles, the last one partial.
 TEST_P(KernelIsaParityTest, MultiplyMatchesNaive) {
     for (auto [n, k, m] : {std::tuple{3u, 4u, 5u},
                            std::tuple{32u, 32u, 32u},
                            std::tuple{65u, 97u, 33u},
                            std::tuple{96u, 484u, 10u},
-                           std::tuple{130u, 70u, 129u}}) {
+                           std::tuple{130u, 70u, 129u},
+                           std::tuple{10u, 576u, 1936u}}) {
         const auto a = random_matrix(n, k, 11u + n);
         const auto b = random_matrix(k, m, 29u + m);
         const auto blocked = la::multiply(a, b);

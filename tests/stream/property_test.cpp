@@ -13,10 +13,13 @@
 //                      + records_dropped_bad_od;
 //   2. bins, verdicts, time-base resets and counting metrics are
 //      identical for shard counts 1, 2 and 4, and through run() on a
-//      codec spool with queue_frames = 1;
+//      codec spool with queue_frames 1 and 8;
 //   3. a checkpoint taken at a random on_bin cut, restored, and fed
 //      exactly the records after records_in, gives identical later bins
-//      and final counters.
+//      and final counters. run() on the spool takes the same cut from
+//      its observer: run()'s decode thread resolves whole frames, which
+//      can span the cut, so its counters at the cut must still equal
+//      push()'s, and resuming from it must be identical too.
 //
 // A second case pins the replay bound of checkpoint.h: replaying a
 // consumed prefix whose bins stay within max_gap_bins of the restored
@@ -181,8 +184,25 @@ struct outcome {
     pipeline_metrics metrics;
 };
 
-void observe(stream_pipeline& p, outcome& out) {
-    p.on_bin([&out](const bin_result& r) { out.bins.push_back(r); });
+/// A checkpoint taken in the on_bin observer of one emitted bin.
+struct cut_checkpoint {
+    std::vector<std::uint8_t> bytes;
+    pipeline_metrics metrics;  ///< at the cut; records_in resumes
+};
+
+/// Record every bin and reset into `out`; if `ck` is non-null, also
+/// checkpoint into it from the observer of emission `cut` (0-based).
+void observe(stream_pipeline& p, outcome& out, std::size_t cut = 0,
+             cut_checkpoint* ck = nullptr) {
+    p.on_bin([&p, &out, cut, ck](const bin_result& r) {
+        if (ck && out.bins.size() == cut) {
+            io::snapshot_writer w(p.config_fingerprint());
+            p.save_state(w);
+            ck->bytes = w.serialize();
+            ck->metrics = p.metrics();
+        }
+        out.bins.push_back(r);
+    });
     p.on_lifecycle([&p, &out](const lifecycle_event& ev) {
         if (ev.type == lifecycle_event::kind::time_base_reset)
             out.resets.emplace_back(p.metrics().bins_emitted, ev.from_bin,
@@ -199,10 +219,11 @@ void push_batches(stream_pipeline& p, const random_stream& s) {
 }
 
 outcome run_pushed(const net::topology& topo, const pipeline_options& opts,
-                   const random_stream& s) {
+                   const random_stream& s, std::size_t cut = 0,
+                   cut_checkpoint* ck = nullptr) {
     stream_pipeline p(topo, opts);
     outcome out;
-    observe(p, out);
+    observe(p, out, cut, ck);
     push_batches(p, s);
     p.finish();
     out.metrics = p.metrics();
@@ -210,7 +231,8 @@ outcome run_pushed(const net::topology& topo, const pipeline_options& opts,
 }
 
 outcome run_spooled(const net::topology& topo, const pipeline_options& opts,
-                    const random_stream& s, std::size_t records_per_frame) {
+                    const random_stream& s, std::size_t records_per_frame,
+                    std::size_t cut = 0, cut_checkpoint* ck = nullptr) {
     std::ostringstream os;
     {
         flow_codec_writer writer(os, {.records_per_frame = records_per_frame});
@@ -221,7 +243,7 @@ outcome run_spooled(const net::topology& topo, const pipeline_options& opts,
     flow_codec_reader reader(in);
     stream_pipeline p(topo, opts);
     outcome out;
-    observe(p, out);
+    observe(p, out, cut, ck);
     p.run(reader);
     out.metrics = p.metrics();
     return out;
@@ -286,20 +308,9 @@ void expect_conservation(const pipeline_metrics& m) {
 std::pair<std::vector<std::uint8_t>, std::uint64_t> checkpoint_at(
     const net::topology& topo, const pipeline_options& opts,
     const random_stream& s, std::size_t cut) {
-    stream_pipeline p(topo, opts);
-    std::vector<std::uint8_t> bytes;
-    std::uint64_t consumed = 0;
-    std::size_t emitted = 0;
-    p.on_bin([&](const bin_result&) {
-        if (emitted++ != cut) return;
-        io::snapshot_writer w(p.config_fingerprint());
-        p.save_state(w);
-        bytes = w.serialize();
-        consumed = p.metrics().records_in;
-    });
-    push_batches(p, s);
-    p.finish();
-    return {bytes, consumed};
+    cut_checkpoint ck;
+    run_pushed(topo, opts, s, cut, &ck);
+    return {ck.bytes, ck.metrics.records_in};
 }
 
 /// push() the records before `cut`, finish(), then push() the rest and
@@ -363,6 +374,31 @@ void restore_into(stream_pipeline& p, std::vector<std::uint8_t> bytes,
     observe(p, out);
 }
 
+/// Restore `ck`, taken after emission `cut`, push() the records after
+/// its records_in and finish(): the later bins, the later resets and
+/// the final counters must equal the uninterrupted `ref`'s.
+void expect_resume_identical(const net::topology& topo,
+                             const pipeline_options& opts,
+                             const random_stream& s, const cut_checkpoint& ck,
+                             std::size_t cut, const outcome& ref) {
+    ASSERT_FALSE(ck.bytes.empty());
+    stream_pipeline resumed(topo, opts);
+    outcome after;
+    restore_into(resumed, ck.bytes, after);
+    resumed.push(std::span(s.records).subspan(
+        static_cast<std::size_t>(ck.metrics.records_in)));
+    resumed.finish();
+    after.metrics = resumed.metrics();
+    ASSERT_EQ(after.bins.size(), ref.bins.size() - cut - 1);
+    for (std::size_t b = 0; b < after.bins.size(); ++b)
+        expect_bins_identical(after.bins[b], ref.bins[cut + 1 + b]);
+    std::vector<std::tuple<std::uint64_t, std::size_t, std::size_t>> later;
+    for (const auto& r : ref.resets)
+        if (std::get<0>(r) > cut) later.push_back(r);
+    EXPECT_EQ(after.resets, later);
+    expect_counters_identical(after.metrics, ref.metrics);
+}
+
 }  // namespace
 
 TEST(StreamPropertyTest, RandomStreamsConserveAndAgreeAcrossShardsSpoolAndResume) {
@@ -384,39 +420,33 @@ TEST(StreamPropertyTest, RandomStreamsConserveAndAgreeAcrossShardsSpoolAndResume
             expect_identical(run_pushed(topo, make_opts(shards, kMaxGap), s),
                              ref);
         }
-        {
-            SCOPED_TRACE("run() on a codec spool");
-            auto opts = make_opts(2, kMaxGap);
-            opts.queue_frames = 1;
-            const outcome spooled = run_spooled(topo, opts, s, 1 + g.below(700));
-            expect_conservation(spooled.metrics);
-            expect_identical(spooled, ref);
-        }
 
-        // 3: checkpoint at a random on_bin cut, restore, feed the rest.
+        // 3: checkpoint at a random on_bin cut, restore, feed the rest;
+        // run() on a spool takes the same cut from its observer.
         ASSERT_FALSE(ref.bins.empty());
+        const std::size_t frame_records[] = {1 + g.below(700), 1 + g.below(700)};
         const std::size_t cut = g.below(ref.bins.size());
-        const auto opts = make_opts(2, kMaxGap);
-        auto [bytes, consumed] = checkpoint_at(topo, opts, s, cut);
-        ASSERT_FALSE(bytes.empty());
-        stream_pipeline resumed(topo, opts);
-        outcome after;
-        restore_into(resumed, std::move(bytes), after);
-        resumed.push(std::span(s.records).subspan(
-            static_cast<std::size_t>(consumed)));
-        resumed.finish();
-        after.metrics = resumed.metrics();
+        auto opts = make_opts(2, kMaxGap);
+        cut_checkpoint pushed;
+        run_pushed(topo, opts, s, cut, &pushed);
         {
             SCOPED_TRACE(testing::Message() << "resume after bin " << cut);
-            ASSERT_EQ(after.bins.size(), ref.bins.size() - cut - 1);
-            for (std::size_t b = 0; b < after.bins.size(); ++b)
-                expect_bins_identical(after.bins[b], ref.bins[cut + 1 + b]);
-            std::vector<std::tuple<std::uint64_t, std::size_t, std::size_t>>
-                later;
-            for (const auto& r : ref.resets)
-                if (std::get<0>(r) > cut) later.push_back(r);
-            EXPECT_EQ(after.resets, later);
-            expect_counters_identical(after.metrics, ref.metrics);
+            expect_resume_identical(topo, opts, s, pushed, cut, ref);
+        }
+        const std::size_t depths[] = {1, pipeline_options{}.queue_frames};
+        for (std::size_t d = 0; d < 2; ++d) {
+            SCOPED_TRACE(testing::Message()
+                         << "run() on a codec spool, queue_frames "
+                         << depths[d] << ", " << frame_records[d]
+                         << " records per frame");
+            opts.queue_frames = depths[d];
+            cut_checkpoint spooled_ck;
+            const outcome spooled =
+                run_spooled(topo, opts, s, frame_records[d], cut, &spooled_ck);
+            expect_conservation(spooled.metrics);
+            expect_identical(spooled, ref);
+            expect_counters_identical(spooled_ck.metrics, pushed.metrics);
+            expect_resume_identical(topo, opts, s, spooled_ck, cut, ref);
         }
 
         const pipeline_metrics& m = ref.metrics;
