@@ -1,34 +1,40 @@
-// stream_daemon — the measurement substrate as a collector daemon would
-// run it: capture at every PoP, spool to the binary flow codec, and
-// stream the spool through the sharded bin-synchronous pipeline into
-// the online detector.
+// stream_daemon — a collector daemon over stored flow exports: stream
+// a flow codec spool through the sharded bin-synchronous pipeline into
+// the online detector, and report every stage's operational counters.
 //
-//   packets -> flow_capture (1-in-100 sampling) -> anonymizer
-//           -> flow_codec spool -> producer thread -> bounded queue
-//           -> od shards -> per-bin entropy -> online detector
+//   SPOOL -> decode + resolve thread -> bounded queue -> od shards
+//         -> per-bin entropy -> online detector
 //
-// and every stage reports its operational counters at the end.
-//
-// Usage: stream_daemon [bins] [packets_per_pop_per_bin] [shards]
+// Usage: stream_daemon SPOOL [--topology=abilene|geant] [--shards=N]
 //          [--checkpoint-dir=DIR] [--checkpoint-every-bins=N]
 //          [--checkpoint-keep=N] [--checkpoint-keep-hours=H] [--resume]
 //          [--on-corrupt=fail-fast|quarantine]
-//          [--fault-seed=S] [--fault-spool-bit-rate=R]
-//          [--fault-ckpt-fail-rate=R]
 //          [--supervise] [--max-restarts=N] [--watchdog-secs=N]
-//          [--crash-after-bins=N] [--drift-relearn-bins=N]
+//          [--drift-relearn-bins=N]
 //          [--events=FILE] [--events-tcp=HOST:PORT]
 //          [--metrics-port=N] [--serve-secs=N]
 //
+// Input: SPOOL is a codec file (stream/flow_codec.h) of sampled,
+// anonymized flow records, for example the spool.tfc that
+// `perfbench gen --workload abilene_week --seed 1 --bins 12 --out DIR`
+// writes. --topology names the network its records resolve against
+// (default abilene). /dev/stdin reads a pipe, but not with --resume: a
+// pipe cannot be read again from its start. A spool that cannot be
+// opened, or does not start with a codec header, is a configuration
+// error (exit 2). The detector runs with short demo settings: window 8,
+// warmup 4, a refit every 4 bins, 2 normal dimensions.
+//
 // Observability (tfd::obs): every bin close, anomaly, checkpoint save/
 // restore, quarantine fold, time-base reset and backpressure stall is
-// a typed event. --events=FILE appends them as schema-versioned JSONL;
-// --events-tcp=HOST:PORT streams the same lines to a TCP peer (peer
-// loss is survived: lines are dropped-and-counted and the connection
-// retried on a bin-paced cooldown). The most recent 256 are always
-// retained in memory. --drift-relearn-bins=N arms the detector's drift
-// monitor: a confirmed distribution shift triggers an N-bin degraded
-// re-learn window, then an exact refit + threshold re-estimation
+// a typed event. --events=FILE appends them as schema-versioned JSONL,
+// numbered on from the seq of the file's last line, so the log stays
+// monotone across restarts; --events-tcp=HOST:PORT streams the same
+// lines to a TCP peer (peer loss is survived: lines are
+// dropped-and-counted and the connection retried on a bin-paced
+// cooldown). The most recent 256 are always retained in memory.
+// --drift-relearn-bins=N arms the detector's drift monitor: a
+// confirmed distribution shift triggers an N-bin degraded re-learn
+// window, then an exact refit + threshold re-estimation
 // (drift/recalibrated events, tfd_detector_state). --metrics-port=N
 // serves, on 127.0.0.1 only: /metrics (Prometheus text: adopted
 // pipeline counters, derived gauges, per-stage latency histograms),
@@ -45,25 +51,25 @@
 // --checkpoint-keep=N deletes all but the newest N snapshots after each
 // successful write. With --resume it restores the newest *valid*
 // snapshot first — corrupt or truncated candidates are skipped with a
-// report — and skips the already-consumed prefix of the spool
-// (metrics().records_in is the exact drained position), so a restarted
-// daemon continues mid-trace with no warmup gap and detections
-// bit-identical to an uninterrupted run.
+// report — skips the already-consumed prefix of the spool
+// (metrics().records_in is the exact drained position), pushes the rest
+// of the frame the checkpoint cut, and drains the remainder through the
+// same run() as a cold start. A restarted daemon continues mid-trace
+// with no warmup gap and detections bit-identical to an uninterrupted
+// run. The bins after the restored checkpoint are emitted again under
+// new sequence numbers: event delivery is at-least-once.
 //
 // Degraded feeds: --on-corrupt=quarantine skips corrupt spool frames
-// (counted, resynced) instead of aborting. The --fault-* flags inject
-// deterministic, seed-replayable faults (io/fault.h) into the spool
-// bytes and the checkpoint writes — chaos testing in one process.
+// (counted, resynced) instead of aborting.
 //
 // Supervision: --supervise forks the worker and restarts it from the
 // last good checkpoint when it crashes or its bin progress stalls past
-// --watchdog-secs, up to --max-restarts times. --crash-after-bins=N
-// makes the first worker attempt kill itself after N bins (test hook
-// for the recovery path).
+// --watchdog-secs, up to --max-restarts times.
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cinttypes>
 #include <csignal>
@@ -74,15 +80,11 @@
 #include <fstream>
 #include <optional>
 #include <span>
-#include <sstream>
 #include <string>
 #include <system_error>
 #include <thread>
 #include <vector>
 
-#include "flow/anonymizer.h"
-#include "flow/flow_capture.h"
-#include "io/fault.h"
 #include "net/topology.h"
 #include "obs/alert.h"
 #include "obs/bridge.h"
@@ -91,20 +93,14 @@
 #include "obs/sink.h"
 #include "stream/checkpoint.h"
 #include "stream/pipeline.h"
-#include "traffic/rng.h"
-#include "traffic/zipf.h"
 
 using namespace tfd;
 
 namespace {
 
-/// Exit code of the deliberate --crash-after-bins test hook, distinct
-/// from real failures so the supervisor log names the cause.
-constexpr int kCrashExit = 86;
-
 struct daemon_config {
-    std::size_t bins = 24;
-    std::size_t packets_per_bin = 20000;
+    std::string spool;
+    std::string topology = "abilene";
     std::size_t shards = 0;
     std::string checkpoint_dir;
     std::size_t checkpoint_every = 8;
@@ -112,13 +108,9 @@ struct daemon_config {
     double checkpoint_keep_hours = 0.0;
     bool resume = false;
     stream::corrupt_policy on_corrupt = stream::corrupt_policy::fail_fast;
-    std::uint64_t fault_seed = 0;
-    double fault_spool_bit_rate = 0.0;
-    double fault_ckpt_fail_rate = 0.0;
     bool supervise = false;
     std::size_t max_restarts = 3;
     std::size_t watchdog_secs = 30;
-    std::size_t crash_after_bins = 0;
     std::string events_path;   ///< JSONL event file (empty = none)
     std::string events_tcp;    ///< HOST:PORT event peer (empty = none)
     std::size_t drift_relearn_bins = 0;  ///< 0 = drift monitor off
@@ -126,97 +118,38 @@ struct daemon_config {
     std::size_t serve_secs = 0;  ///< keep the endpoint up after the drain
 };
 
-// Synthesize raw packets seen at one ingress PoP during one 5-minute bin.
-std::vector<flow::packet> packets_at_ingress(const net::topology& topo,
-                                             int ingress, std::size_t bin,
-                                             std::size_t count,
-                                             traffic::rng& gen) {
-    traffic::zipf_sampler hosts(2048, 1.1);
-    std::vector<flow::packet> out;
-    out.reserve(count);
-    const std::uint64_t bin_start = bin * flow::default_bin_us;
-    for (std::size_t i = 0; i < count; ++i) {
-        flow::packet p;
-        p.time_us = bin_start + gen.uniform_int(flow::default_bin_us);
-        p.src = topo.address_in_pop(
-            ingress, static_cast<std::uint32_t>(hosts.sample(gen) * 2654435761u));
-        // Destination anywhere in the network (egress resolved by LPM).
-        const int egress = static_cast<int>(gen.uniform_int(topo.pop_count()));
-        p.dst = topo.address_in_pop(
-            egress, static_cast<std::uint32_t>(hosts.sample(gen) * 40503u));
-        p.src_port = static_cast<std::uint16_t>(1024 + gen.uniform_int(64512));
-        p.dst_port = gen.chance(0.8) ? 80 : 443;
-        p.bytes = gen.chance(0.5) ? 1500 : 576;
-        out.push_back(p);
-    }
-    return out;
-}
-
-/// Capture + anonymize + spool, deterministic for a given config: every
-/// worker attempt regenerates the identical spool, which is what lets a
-/// restarted worker skip records_in records and land exactly where the
-/// checkpoint left off.
-std::string build_spool(const daemon_config& cfg, const net::topology& topo,
-                        bool verbose) {
-    traffic::rng gen(2024);
-    // One capture per PoP per bin (routers export every 5 minutes); the
-    // Abilene public feed masks the low 11 address bits before anything
-    // leaves the network, so the daemon spools anonymized records.
-    flow::anonymizer anon(11);
-    std::ostringstream spool;
-    stream::flow_codec_writer writer(spool, {.records_per_frame = 2048});
-    std::uint64_t offered = 0, selected = 0;
-    for (std::size_t bin = 0; bin < cfg.bins; ++bin) {
-        for (int pop = 0; pop < topo.pop_count(); ++pop) {
-            flow::capture_options copts;
-            copts.sampling_rate = 100;
-            copts.ingress_pop = pop;
-            flow::flow_capture capture(copts);
-            capture.add_packets(packets_at_ingress(
-                topo, pop, bin, cfg.packets_per_bin, gen));
-            auto records = capture.flush();
-            anon.apply(records);
-            writer.add(records);
-            offered += capture.packets_offered();
-            selected += capture.packets_selected();
-        }
-        // A bin boundary is a natural frame boundary for the spool.
-        writer.flush_frame();
-    }
-    writer.finish();
-    if (verbose) {
-        const auto& ws = writer.stats();
-        std::printf("capture: %" PRIu64 " packets offered, %" PRIu64
-                    " sampled (1-in-100)\n",
-                    offered, selected);
-        std::printf("codec spool: %" PRIu64 " records in %" PRIu64
-                    " frames, %" PRIu64 " wire "
-                    "bytes (%.1f bytes/record vs %zu in-memory)\n\n",
-                    ws.records, ws.frames, ws.wire_bytes,
-                    ws.records ? static_cast<double>(ws.wire_bytes) /
-                                     static_cast<double>(ws.records)
-                               : 0.0,
-                    sizeof(flow::flow_record));
-    }
-    return spool.str();
-}
-
 std::string progress_path(const daemon_config& cfg) {
     return (std::filesystem::path(cfg.checkpoint_dir) / "progress").string();
 }
 
-/// One worker run: build the (deterministic) spool, restore the newest
-/// valid checkpoint when resuming, stream, report. `attempt` > 0 means
-/// the supervisor restarted us: resume is implied and the deliberate
-/// crash hook is disarmed (a crash loop would exhaust the restart
-/// budget without testing recovery).
+/// One worker run: open the spool, restore the newest valid checkpoint
+/// when resuming, stream, report. `attempt` > 0 means the supervisor
+/// restarted us: resume is implied.
 int run_worker(const daemon_config& cfg, std::size_t attempt) {
-    const auto topo = net::topology::abilene();
-    std::printf("stream_daemon%s: %zu bins x %zu packets at each of %d "
-                "ingress PoPs\n\n",
-                attempt > 0 ? " [restarted worker]" : "", cfg.bins,
-                cfg.packets_per_bin, topo.pop_count());
-    const std::string spool = build_spool(cfg, topo, attempt == 0);
+    const auto topo = cfg.topology == "geant" ? net::topology::geant()
+                                              : net::topology::abilene();
+    std::printf("stream_daemon%s: %s over the %s topology (%d PoPs)\n\n",
+                attempt > 0 ? " [restarted worker]" : "", cfg.spool.c_str(),
+                cfg.topology.c_str(), topo.pop_count());
+
+    // A spool that cannot be opened, or is not a codec stream, is a
+    // configuration error: exit 2, which the supervisor never retries.
+    std::ifstream spool(cfg.spool, std::ios::binary);
+    if (!spool) {
+        std::fprintf(stderr, "stream_daemon: cannot open spool %s\n",
+                     cfg.spool.c_str());
+        return 2;
+    }
+    stream::codec_read_options ropts;
+    ropts.on_corrupt = cfg.on_corrupt;
+    std::optional<stream::flow_codec_reader> reader;
+    try {
+        reader.emplace(spool, ropts);
+    } catch (const stream::codec_error& e) {
+        std::fprintf(stderr, "stream_daemon: %s is not a codec spool: %s\n",
+                     cfg.spool.c_str(), e.what());
+        return 2;
+    }
 
     // --- observability surface ------------------------------------------
     // Always on: the registry, per-stage timers, alert manager and the
@@ -229,7 +162,9 @@ int run_worker(const daemon_config& cfg, std::size_t attempt) {
     obs::tee_sink event_tee;
     event_tee.add(&recent_events);
     std::optional<obs::file_sink> event_file;
+    std::uint64_t first_seq = 1;
     if (!cfg.events_path.empty()) {
+        first_seq = obs::next_event_seq(cfg.events_path);
         try {
             event_file.emplace(cfg.events_path);
         } catch (const std::system_error& e) {
@@ -282,19 +217,14 @@ int run_worker(const daemon_config& cfg, std::size_t attempt) {
     bopts.registry = &registry;
     bopts.alerts = &alerts;
     bopts.topology = &topo;
+    bopts.first_seq = first_seq;
     obs::pipeline_bridge bridge(pipeline, bopts);
 
     // --- checkpoint/restore wiring --------------------------------------
-    io::fault_injector ckpt_faults(
-        {.seed = cfg.fault_seed,
-         .write_failure_per_call = cfg.fault_ckpt_fail_rate});
     std::optional<stream::periodic_checkpointer> checkpointer;
-    std::uint64_t skip_records = 0;
     if (!cfg.checkpoint_dir.empty()) {
         std::filesystem::create_directories(cfg.checkpoint_dir);
         stream::checkpoint_options copts;
-        copts.jitter_seed = cfg.fault_seed;
-        if (cfg.fault_ckpt_fail_rate > 0.0) copts.faults = &ckpt_faults;
         copts.save_timer = timers.checkpoint_write;
         copts.keep_hours = cfg.checkpoint_keep_hours;
         checkpointer.emplace(pipeline, cfg.checkpoint_dir,
@@ -306,12 +236,12 @@ int run_worker(const daemon_config& cfg, std::size_t attempt) {
                 stream::restore_latest_checkpoint(pipeline, cfg.checkpoint_dir);
             bridge.emit_checkpoint_restored(report);
             if (!report.restored_path.empty()) {
-                skip_records = pipeline.metrics().records_in;
                 std::printf("resume: restored %s at bin cursor %" PRIu64
                             " — skipping %" PRIu64
                             " already-consumed records\n",
                             report.restored_path.c_str(),
-                            pipeline.metrics().bins_emitted, skip_records);
+                            pipeline.metrics().bins_emitted,
+                            pipeline.metrics().records_in);
             } else {
                 std::printf("resume: no valid checkpoint in %s — cold "
                             "start\n",
@@ -348,19 +278,12 @@ int run_worker(const daemon_config& cfg, std::size_t attempt) {
         std::printf("metrics: serving /metrics /healthz /alerts "
                     "/events/recent on 127.0.0.1:%u\n\n",
                     static_cast<unsigned>(http->port()));
+        // Scrapers read the ephemeral port from this line while the
+        // spool drains, so it must not wait in a block-buffered stdout.
+        std::fflush(stdout);
     }
 
     pipeline.on_bin([&](const stream::bin_result& r) {
-        // The deliberate crash fires BEFORE the checkpoint hook: the
-        // just-emitted bin's progress is lost and recovery must replay
-        // it from the previous snapshot — the interesting case.
-        if (cfg.crash_after_bins > 0 && attempt == 0 &&
-            pipeline.metrics().bins_emitted >= cfg.crash_after_bins) {
-            std::printf("worker: deliberate crash after %" PRIu64 " bins\n",
-                        pipeline.metrics().bins_emitted);
-            std::fflush(stdout);
-            _exit(kCrashExit);
-        }
         // The bin_closed / anomaly events (bridge) are the full record;
         // stdout keeps a one-line note per anomaly only.
         bridge.observe_bin(r);
@@ -379,69 +302,35 @@ int run_worker(const daemon_config& cfg, std::size_t attempt) {
         }
     });
 
-    // --- degraded-feed wiring -------------------------------------------
-    std::istringstream clean(spool);
-    io::fault_injector spool_faults(
-        {.seed = cfg.fault_seed,
-         .bit_flip_per_byte = cfg.fault_spool_bit_rate});
-    std::optional<io::fault_streambuf> degraded;
-    std::optional<std::istream> degraded_stream;
-    if (cfg.fault_spool_bit_rate > 0.0) {
-        degraded.emplace(*clean.rdbuf(), spool_faults);
-        degraded_stream.emplace(&*degraded);
-    }
-    std::istream& in = degraded_stream ? *degraded_stream : clean;
-    stream::codec_read_options ropts;
-    ropts.on_corrupt = cfg.on_corrupt;
-    stream::flow_codec_reader reader(in, ropts);
-
     std::size_t frames = 0;
     try {
-    if (skip_records == 0) {
-        frames = pipeline.run(reader);
-    } else {
-        // Resume path: skip the exact already-consumed prefix, then
-        // feed the rest frame by frame (the producer-thread fast path
-        // is pointless while skipping). Under quarantine, records_in
-        // counts *surviving* records, and the same fault seed
-        // reproduces the same surviving stream — the skip stays exact.
+        // A resume skips exactly the records the checkpoint consumed
+        // (records_in counts surviving records, and the reader
+        // quarantines the same corrupt frames again), pushes the rest of
+        // the frame the cut falls in, and drains the remainder through
+        // run() like a cold start, whose skip is 0.
+        std::uint64_t skip = pipeline.metrics().records_in;
         std::vector<flow::flow_record> frame;
-        while (reader.next_frame(frame)) {
-            std::span<const flow::flow_record> s(frame);
-            if (skip_records >= s.size()) {
-                skip_records -= s.size();
-                continue;
-            }
-            s = s.subspan(static_cast<std::size_t>(skip_records));
-            skip_records = 0;
-            pipeline.push(s);
-            ++frames;
+        while (skip > 0 && reader->next_frame(frame)) {
+            const auto n = static_cast<std::size_t>(
+                std::min<std::uint64_t>(skip, frame.size()));
+            skip -= n;
+            if (n < frame.size())
+                pipeline.push(
+                    std::span<const flow::flow_record>(frame).subspan(n));
         }
-        if (skip_records > 0) {
+        if (skip > 0) {
             // The checkpoint is ahead of this spool: a silent "ran to
             // completion with zero new bins" would mask a workload
-            // mismatch (the run shape is not config-fingerprinted).
+            // mismatch (the spool is not config-fingerprinted).
             std::fprintf(stderr,
                          "stream_daemon: checkpoint is %" PRIu64
-                         " records ahead "
-                         "of this spool — wrong [bins]/[packets] for this "
-                         "checkpoint?\n",
-                         skip_records);
+                         " records ahead of %s — a checkpoint of another "
+                         "spool?\n",
+                         skip, cfg.spool.c_str());
             return 2;
         }
-        pipeline.finish();
-        // Note: the restored metrics already count quarantine events the
-        // crashed run saw (run() folded them before the checkpoint), and
-        // this pass re-decodes the whole spool — so the reader's own
-        // counters are reported separately below instead of folded,
-        // which would double-count the skipped prefix.
-        const auto& q = reader.quarantine();
-        if (q.frames_quarantined > 0)
-            std::printf("replay: %" PRIu64
-                        " corrupt frames re-quarantined while "
-                        "skipping the consumed prefix\n",
-                        q.frames_quarantined);
-    }
+        frames = pipeline.run(*reader);
     } catch (const stream::codec_error& e) {
         // fail_fast (or an exhausted quarantine error budget): a daemon
         // reports the typed cause and exits nonzero instead of
@@ -589,11 +478,8 @@ int run_supervised(const daemon_config& cfg) {
             std::fprintf(stderr, "supervisor: worker killed by signal %d\n",
                          WTERMSIG(status));
         else
-            std::fprintf(stderr, "supervisor: worker exited with code %d%s\n",
-                         WEXITSTATUS(status),
-                         WEXITSTATUS(status) == kCrashExit
-                             ? " (deliberate test crash)"
-                             : "");
+            std::fprintf(stderr, "supervisor: worker exited with code %d\n",
+                         WEXITSTATUS(status));
         if (attempt >= cfg.max_restarts) {
             std::fprintf(stderr,
                          "supervisor: restart budget exhausted (%zu) — "
@@ -614,26 +500,19 @@ bool parse_size(const char* v, std::size_t& out) {
     return end != v && *end == '\0';
 }
 
-bool parse_rate(const char* v, double& out) {
-    char* end = nullptr;
-    out = std::strtod(v, &end);
-    return end != v && *end == '\0' && out >= 0.0 && out <= 1.0;
-}
-
 [[noreturn]] void usage_error(const std::string& detail) {
     std::fprintf(
         stderr,
         "stream_daemon: %s\n"
-        "usage: stream_daemon [bins] [packets_per_pop_per_bin] [shards]\n"
+        "usage: stream_daemon SPOOL [--topology=abilene|geant] [--shards=N]\n"
         "  [--checkpoint-dir=DIR] [--checkpoint-every-bins=N]\n"
         "  [--checkpoint-keep=N] [--checkpoint-keep-hours=H] [--resume]\n"
         "  [--on-corrupt=fail-fast|quarantine]\n"
-        "  [--fault-seed=S] [--fault-spool-bit-rate=R]\n"
-        "  [--fault-ckpt-fail-rate=R]\n"
         "  [--supervise] [--max-restarts=N] [--watchdog-secs=N]\n"
-        "  [--crash-after-bins=N] [--drift-relearn-bins=N]\n"
+        "  [--drift-relearn-bins=N]\n"
         "  [--events=FILE] [--events-tcp=HOST:PORT]\n"
-        "  [--metrics-port=N] [--serve-secs=N]\n",
+        "  [--metrics-port=N] [--serve-secs=N]\n"
+        "SPOOL is a flow codec file, e.g. the spool.tfc of `perfbench gen`\n",
         detail.c_str());
     std::exit(2);
 }
@@ -642,9 +521,6 @@ bool parse_rate(const char* v, double& out) {
 
 int main(int argc, char** argv) {
     daemon_config cfg;
-    std::size_t* positional[3] = {&cfg.bins, &cfg.packets_per_bin,
-                                  &cfg.shards};
-    std::size_t npos = 0;
     const auto value_of = [](const std::string& arg, const char* flag,
                              const char** out) {
         const std::size_t n = std::strlen(flag);
@@ -655,7 +531,14 @@ int main(int argc, char** argv) {
     for (int a = 1; a < argc; ++a) {
         const std::string arg = argv[a];
         const char* v = nullptr;
-        if (value_of(arg, "--checkpoint-dir=", &v)) {
+        if (value_of(arg, "--topology=", &v)) {
+            if (std::strcmp(v, "abilene") != 0 && std::strcmp(v, "geant") != 0)
+                usage_error("--topology expects abilene or geant");
+            cfg.topology = v;
+        } else if (value_of(arg, "--shards=", &v)) {
+            if (!parse_size(v, cfg.shards))
+                usage_error("--shards expects a number (0 = pool size)");
+        } else if (value_of(arg, "--checkpoint-dir=", &v)) {
             cfg.checkpoint_dir = v;
         } else if (value_of(arg, "--checkpoint-every-bins=", &v)) {
             if (!parse_size(v, cfg.checkpoint_every))
@@ -677,17 +560,6 @@ int main(int argc, char** argv) {
                 cfg.on_corrupt = stream::corrupt_policy::quarantine;
             else
                 usage_error("--on-corrupt expects fail-fast or quarantine");
-        } else if (value_of(arg, "--fault-seed=", &v)) {
-            std::size_t seed;
-            if (!parse_size(v, seed))
-                usage_error("--fault-seed expects a number");
-            cfg.fault_seed = seed;
-        } else if (value_of(arg, "--fault-spool-bit-rate=", &v)) {
-            if (!parse_rate(v, cfg.fault_spool_bit_rate))
-                usage_error("--fault-spool-bit-rate expects a rate in [0,1]");
-        } else if (value_of(arg, "--fault-ckpt-fail-rate=", &v)) {
-            if (!parse_rate(v, cfg.fault_ckpt_fail_rate))
-                usage_error("--fault-ckpt-fail-rate expects a rate in [0,1]");
         } else if (arg == "--supervise") {
             cfg.supervise = true;
         } else if (value_of(arg, "--max-restarts=", &v)) {
@@ -696,9 +568,6 @@ int main(int argc, char** argv) {
         } else if (value_of(arg, "--watchdog-secs=", &v)) {
             if (!parse_size(v, cfg.watchdog_secs))
                 usage_error("--watchdog-secs expects a number");
-        } else if (value_of(arg, "--crash-after-bins=", &v)) {
-            if (!parse_size(v, cfg.crash_after_bins))
-                usage_error("--crash-after-bins expects a number");
         } else if (value_of(arg, "--events=", &v)) {
             if (*v == '\0') usage_error("--events expects a file path");
             cfg.events_path = v;
@@ -719,24 +588,21 @@ int main(int argc, char** argv) {
         } else if (value_of(arg, "--serve-secs=", &v)) {
             if (!parse_size(v, cfg.serve_secs))
                 usage_error("--serve-secs expects a number");
-        } else if (arg.rfind("--", 0) == 0 || npos >= 3) {
+        } else if (arg.rfind("--", 0) == 0 || !cfg.spool.empty()) {
             // A typo'd or space-separated flag must not be silently
-            // swallowed as a positional zero (that would reconfigure
-            // the run instead of failing).
+            // swallowed as the spool path (that would read the wrong
+            // input instead of failing).
             usage_error("unrecognized argument '" + arg + "'");
         } else {
-            if (!parse_size(arg.c_str(), *positional[npos]))
-                usage_error("expected a number, got '" + arg + "'");
-            ++npos;
+            cfg.spool = arg;
         }
     }
+    if (cfg.spool.empty()) usage_error("missing SPOOL");
     if (cfg.resume && cfg.checkpoint_dir.empty())
         usage_error("--resume requires --checkpoint-dir");
     if (cfg.supervise && cfg.checkpoint_dir.empty())
         usage_error("--supervise requires --checkpoint-dir (restart "
                     "without durable progress is just a retry loop)");
-    if (cfg.crash_after_bins > 0 && !cfg.supervise)
-        usage_error("--crash-after-bins only makes sense with --supervise");
     if (cfg.serve_secs > 0 && cfg.metrics_port < 0)
         usage_error("--serve-secs requires --metrics-port");
 

@@ -1,12 +1,13 @@
 #include "core/timeseries.h"
 
 #include <stdexcept>
-#include <thread>
+
+#include "linalg/parallel.h"
 
 namespace tfd::core {
 
 od_dataset build_od_dataset(std::size_t bins, int flows,
-                            const cell_source& source, unsigned threads) {
+                            const cell_source& source) {
     if (bins == 0) throw std::invalid_argument("build_od_dataset: bins == 0");
     if (flows <= 0) throw std::invalid_argument("build_od_dataset: flows <= 0");
     if (!source) throw std::invalid_argument("build_od_dataset: null source");
@@ -17,33 +18,18 @@ od_dataset build_od_dataset(std::size_t bins, int flows,
     d.packets.resize(bins, p);
     for (auto& m : d.entropy) m.resize(bins, p);
 
-    if (threads == 0) threads = std::max(1u, std::thread::hardware_concurrency());
-    threads = std::min<unsigned>(threads, static_cast<unsigned>(bins));
-
-    auto work = [&](std::size_t first_bin, std::size_t step) {
+    linalg::thread_pool::shared().run(bins, [&](std::size_t bin) {
         feature_histogram_set hists;
-        for (std::size_t bin = first_bin; bin < bins; bin += step) {
-            for (int od = 0; od < flows; ++od) {
-                hists.clear();
-                hists.add_records(source(bin, od));
-                d.bytes(bin, od) = static_cast<double>(hists.total_bytes());
-                d.packets(bin, od) = static_cast<double>(hists.total_packets());
-                const auto h = hists.entropies();
-                for (int f = 0; f < flow::feature_count; ++f)
-                    d.entropy[f](bin, od) = h[f];
-            }
+        for (int od = 0; od < flows; ++od) {
+            hists.clear();
+            hists.add_records(source(bin, od));
+            d.bytes(bin, od) = static_cast<double>(hists.total_bytes());
+            d.packets(bin, od) = static_cast<double>(hists.total_packets());
+            const auto h = hists.entropies();
+            for (int f = 0; f < flow::feature_count; ++f)
+                d.entropy[f](bin, od) = h[f];
         }
-    };
-
-    if (threads <= 1) {
-        work(0, 1);
-    } else {
-        std::vector<std::thread> pool;
-        pool.reserve(threads);
-        for (unsigned i = 0; i < threads; ++i)
-            pool.emplace_back(work, i, threads);
-        for (auto& t : pool) t.join();
-    }
+    });
     return d;
 }
 

@@ -36,11 +36,13 @@ struct od_dataset {
 
 /// Build the dataset by evaluating `source` for every (bin, od) cell.
 ///
-/// `threads` > 1 parallelizes over bins (cells are independent by
-/// construction); 0 picks the hardware concurrency. Throws
-/// std::invalid_argument if bins or flows is zero.
+/// Bins run as tasks on the shared thread pool (TFD_THREADS sizes it),
+/// so `source` must be safe to call concurrently. Cells are independent
+/// and a cell's entropies depend only on its own records, so any task
+/// order gives the same bytes. Throws std::invalid_argument if bins or
+/// flows is zero.
 od_dataset build_od_dataset(std::size_t bins, int flows,
-                            const cell_source& source, unsigned threads = 0);
+                            const cell_source& source);
 
 /// Entropy timeseries of a single OD flow for one feature (column slice).
 std::vector<double> entropy_series(const od_dataset& d, flow::feature f,

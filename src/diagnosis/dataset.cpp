@@ -85,9 +85,8 @@ core::cell_source network_study::source() const {
     return [this](std::size_t bin, int od) { return cell_records(bin, od); };
 }
 
-core::od_dataset network_study::build(unsigned threads) const {
-    return core::build_od_dataset(config_.bins, topo_->od_count(), source(),
-                                  threads);
+core::od_dataset network_study::build() const {
+    return core::build_od_dataset(config_.bins, topo_->od_count(), source());
 }
 
 }  // namespace tfd::diagnosis

@@ -60,7 +60,7 @@ public:
     core::cell_source source() const;
 
     /// Build the full Figure 3 tensor for this study.
-    core::od_dataset build(unsigned threads = 0) const;
+    core::od_dataset build() const;
 
 private:
     dataset_config config_;

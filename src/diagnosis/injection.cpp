@@ -19,8 +19,7 @@ injection_lab::injection_lab(const net::topology& topo,
 
     data_ = core::build_od_dataset(
         opts_.bins, topo.od_count(),
-        [&](std::size_t bin, int od) { return background.generate(bin, od); },
-        opts_.threads);
+        [&](std::size_t bin, int od) { return background.generate(bin, od); });
     multiway_ = core::unfold(data_);
     entropy_model_ = core::subspace_model::fit(multiway_.h, opts_.subspace);
     bytes_model_ = core::subspace_model::fit(data_.bytes, opts_.subspace);

@@ -36,7 +36,6 @@ struct injection_options {
     static constexpr std::size_t auto_bin = static_cast<std::size_t>(-1);
     std::size_t inject_bin = auto_bin;
     core::subspace_options subspace{.normal_dims = 10};
-    unsigned threads = 0;
 };
 
 /// One injection: extra records merged into (inject_bin, od).

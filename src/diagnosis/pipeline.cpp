@@ -57,7 +57,7 @@ diagnosis_report run_diagnosis(const network_study& study,
 
 diagnosis_report run_diagnosis(const network_study& study,
                                const diagnosis_options& opts) {
-    const auto data = study.build(opts.threads);
+    const auto data = study.build();
     return run_diagnosis(study, data, opts);
 }
 

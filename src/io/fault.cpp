@@ -1,8 +1,5 @@
 #include "io/fault.h"
 
-#include <chrono>
-#include <thread>
-
 namespace tfd::io {
 
 namespace {
@@ -81,15 +78,6 @@ std::size_t fault_injector::short_read_len(std::uint64_t call_index,
     const std::uint64_t h =
         decision_hash(plan_.seed, fault_site::short_read, ~call_index);
     return 1 + static_cast<std::size_t>(h % (n - 1));
-}
-
-void fault_injector::maybe_stall(std::uint64_t call_index) {
-    if (plan_.stall_us == 0 ||
-        !fires(fault_site::write_stall, call_index,
-               plan_.write_stall_per_call))
-        return;
-    ++stats_.stalls;
-    std::this_thread::sleep_for(std::chrono::microseconds(plan_.stall_us));
 }
 
 std::streambuf::int_type fault_streambuf::underflow() {

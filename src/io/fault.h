@@ -18,10 +18,10 @@
 // Layers:
 //
 //   fault_plan      seed + per-site rates; a plain literal you can put
-//                   in a test or pass through daemon flags
+//                   in a test next to the assertions it produced
 //   fault_injector  the vtable-free policy object: decision helpers per
-//                   site (corrupt bytes, fail a write, truncate a read,
-//                   stall) plus counters of what actually fired
+//                   site (corrupt bytes, fail a write, truncate or
+//                   shorten a read) plus counters of what actually fired
 //   fault_streambuf read-side std::streambuf wrapper that applies bit
 //                   flips / truncation by absolute byte offset while an
 //                   existing reader pulls from it — degraded feeds
@@ -46,7 +46,6 @@ enum class fault_site : std::uint32_t {
     write_failure = 2,   ///< transient EIO/ENOSPC-style write failure
     read_truncate = 3,   ///< feed ends early (index = byte offset)
     short_read = 4,      ///< a read returns fewer bytes than asked
-    write_stall = 5,     ///< a write blocks for plan.stall_us
 };
 
 /// A reproducible fault campaign: a seed plus per-site rates. Rates are
@@ -65,14 +64,10 @@ struct fault_plan {
     double truncate_per_byte = 0.0;
     /// Per-call probability that a read is shortened (short read).
     double short_read_per_call = 0.0;
-    /// Per-call probability of a write stall of stall_us microseconds.
-    double write_stall_per_call = 0.0;
-    std::uint64_t stall_us = 0;
 
     bool enabled() const noexcept {
         return bit_flip_per_byte > 0.0 || write_failure_per_call > 0.0 ||
-               truncate_per_byte > 0.0 || short_read_per_call > 0.0 ||
-               write_stall_per_call > 0.0;
+               truncate_per_byte > 0.0 || short_read_per_call > 0.0;
     }
 };
 
@@ -82,7 +77,6 @@ struct fault_stats {
     std::uint64_t writes_failed = 0;
     std::uint64_t reads_truncated = 0;
     std::uint64_t reads_shortened = 0;
-    std::uint64_t stalls = 0;
 };
 
 /// The policy object. Thread-compatible (confine one injector to one
@@ -118,9 +112,6 @@ public:
     /// number of bytes to deliver (== n when the site does not fire; at
     /// least 1 when it does, so a reader always makes progress).
     std::size_t short_read_len(std::uint64_t call_index, std::size_t n);
-
-    /// Sleep plan().stall_us if the stall site fires for `call_index`.
-    void maybe_stall(std::uint64_t call_index);
 
 private:
     fault_plan plan_;

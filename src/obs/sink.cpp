@@ -6,6 +6,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <charconv>
 #include <chrono>
 #include <cstring>
 #include <system_error>
@@ -71,8 +72,23 @@ void file_sink::emit(const event&, std::string_view jsonl_line) {
     if (!out_) ++dropped_;
 }
 
-void stream_sink::emit(const event&, std::string_view jsonl_line) {
-    *out_ << jsonl_line << '\n';
+std::uint64_t next_event_seq(const std::string& path) {
+    // The envelope leads every line ({"v":1,"seq":N,...}), and no payload
+    // key is "seq", so the first match on a line is the envelope's.
+    constexpr std::string_view key = "\"seq\":";
+    std::ifstream in(path);
+    std::uint64_t last = 0;
+    std::string line;
+    while (std::getline(in, line)) {
+        const std::size_t at = line.find(key);
+        if (at == std::string::npos) continue;
+        const char* first = line.data() + at + key.size();
+        std::uint64_t seq = 0;
+        const auto [end, ec] =
+            std::from_chars(first, line.data() + line.size(), seq);
+        if (ec == std::errc{} && end != first) last = seq;
+    }
+    return last + 1;
 }
 
 void ring_sink::emit(const event&, std::string_view jsonl_line) {

@@ -9,7 +9,7 @@
 // (push/finish/run and the checkpointer) — one writer. Sinks that are
 // *read* from another thread (ring_sink by the HTTP server,
 // memory_sink by a test thread) lock internally; write-only sinks
-// (file, stream, tcp) do not.
+// (file, tcp) do not.
 //
 // Failure policy: an event stream is telemetry, not ground truth — a
 // sink that loses its backing (disk full, socket peer gone) drops
@@ -21,7 +21,6 @@
 #include <deque>
 #include <fstream>
 #include <mutex>
-#include <ostream>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -74,16 +73,11 @@ private:
     std::uint64_t dropped_ = 0;
 };
 
-/// Writes lines to a caller-owned std::ostream (stdout piping, tests).
-class stream_sink : public event_sink {
-public:
-    explicit stream_sink(std::ostream& out) : out_(&out) {}
-
-    void emit(const event& e, std::string_view jsonl_line) override;
-
-private:
-    std::ostream* out_;
-};
+/// The seq that continues the JSONL log at `path` (what file_sink
+/// appends to): the `seq` of its last line that carries one, plus 1; 1
+/// when the file is missing or holds no event. Pass it as the emitter's
+/// first seq so a restarted process keeps the log strictly increasing.
+std::uint64_t next_event_seq(const std::string& path);
 
 /// Bounded ring of the most recent serialized lines; backs the HTTP
 /// endpoint's /events/recent. Thread-safe.

@@ -1,14 +1,9 @@
 // tfd::obs — zero-dependency scoped trace spans.
 //
 // A stage_span times one scope and records the elapsed time into a
-// latency_histogram on destruction. Two off-switches:
-//
-//   * runtime: constructing with a null histogram skips the clock reads
-//     entirely (one branch) — a pipeline with no timers configured pays
-//     nothing measurable;
-//   * compile time: building with -DTFD_OBS_DISABLE_TRACE compiles the
-//     span to an empty struct, so even the branch and the clock symbols
-//     vanish from the hot paths.
+// latency_histogram on destruction. Constructing it with a null
+// histogram skips the clock reads entirely (one branch), so a pipeline
+// with no timers configured pays nothing measurable.
 //
 // Spans are intentionally coarse (per frame, per push batch, per bin,
 // per refit, per checkpoint write) — never per record — so a steady
@@ -21,16 +16,6 @@
 #include "obs/metrics.h"
 
 namespace tfd::obs {
-
-#if defined(TFD_OBS_DISABLE_TRACE)
-
-class stage_span {
-public:
-    explicit stage_span(latency_histogram*) noexcept {}
-    void stop() noexcept {}
-};
-
-#else
 
 class stage_span {
 public:
@@ -59,7 +44,5 @@ private:
     latency_histogram* h_;
     std::uint64_t start_ = 0;
 };
-
-#endif  // TFD_OBS_DISABLE_TRACE
 
 }  // namespace tfd::obs

@@ -21,7 +21,6 @@ namespace fs = std::filesystem;
 
 constexpr const char* kCheckpointPrefix = "checkpoint-";
 constexpr const char* kCheckpointSuffix = ".tfss";
-constexpr const char* kLegacyName = "checkpoint.tfss";
 
 std::string checkpoint_name(std::uint64_t seq) {
     char buf[64];
@@ -30,8 +29,7 @@ std::string checkpoint_name(std::uint64_t seq) {
     return buf;
 }
 
-/// Parse "checkpoint-NNNNNN.tfss" -> NNNNNN; the legacy unnumbered
-/// "checkpoint.tfss" maps to nullopt-with-legacy handling at the caller.
+/// Parse "checkpoint-NNNNNN.tfss" -> NNNNNN.
 std::optional<std::uint64_t> parse_seq(const std::string& name) {
     const std::string prefix = kCheckpointPrefix;
     const std::string suffix = kCheckpointSuffix;
@@ -49,8 +47,6 @@ std::optional<std::uint64_t> parse_seq(const std::string& name) {
 }
 
 struct candidate {
-    /// Legacy unnumbered file sorts below every numbered one.
-    bool numbered;
     std::uint64_t seq;
     std::string path;
 };
@@ -61,38 +57,14 @@ std::vector<candidate> list_checkpoints(const std::string& dir) {
     std::error_code ec;
     for (const auto& entry : fs::directory_iterator(dir, ec)) {
         if (!entry.is_regular_file(ec)) continue;
-        const std::string name = entry.path().filename().string();
-        if (const auto seq = parse_seq(name))
-            found.push_back({true, *seq, entry.path().string()});
-        else if (name == kLegacyName)
-            found.push_back({false, 0, entry.path().string()});
+        if (const auto seq = parse_seq(entry.path().filename().string()))
+            found.push_back({*seq, entry.path().string()});
     }
     std::sort(found.begin(), found.end(),
               [](const candidate& a, const candidate& b) {
-                  if (a.numbered != b.numbered) return a.numbered > b.numbered;
                   return a.seq > b.seq;
               });
     return found;
-}
-
-// splitmix64, same recipe as io/fault.cpp: retry jitter must replay
-// exactly for a given (jitter_seed, retry index).
-std::uint64_t mix64(std::uint64_t x) noexcept {
-    x += 0x9E3779B97F4A7C15ull;
-    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-    x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-    return x ^ (x >> 31);
-}
-
-std::uint64_t backoff_with_jitter_us(const checkpoint_options& opts,
-                                     std::size_t retry) {
-    if (opts.backoff_initial_us == 0) return 0;
-    double delay = static_cast<double>(opts.backoff_initial_us);
-    for (std::size_t i = 0; i < retry; ++i) delay *= opts.backoff_multiplier;
-    const double unit =
-        static_cast<double>(mix64(opts.jitter_seed ^ (retry + 1)) >> 11) *
-        0x1.0p-53;
-    return static_cast<std::uint64_t>(delay + unit * delay * 0.5);
 }
 
 }  // namespace
@@ -129,7 +101,8 @@ void save_checkpoint(const stream_pipeline& pipeline, const std::string& path,
                 throw;
             }
             if (stats) stats->save_retries += 1;
-            const std::uint64_t delay_us = backoff_with_jitter_us(opts, attempt);
+            std::uint64_t delay_us = opts.backoff_initial_us;
+            for (std::size_t k = 0; k < attempt; ++k) delay_us *= 4;
             if (delay_us > 0)
                 std::this_thread::sleep_for(
                     std::chrono::microseconds(delay_us));
@@ -193,11 +166,8 @@ periodic_checkpointer::periodic_checkpointer(stream_pipeline& pipeline,
       opts_(opts) {
     // Sequence numbers continue past whatever the directory holds, so a
     // restarted daemon never overwrites the snapshot it restored from.
-    for (const auto& cand : list_checkpoints(dir_))
-        if (cand.numbered) {
-            next_seq_ = cand.seq + 1;
-            break;
-        }
+    const auto existing = list_checkpoints(dir_);
+    if (!existing.empty()) next_seq_ = existing.front().seq + 1;
 }
 
 void periodic_checkpointer::on_bin_emitted() {

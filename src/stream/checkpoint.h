@@ -50,14 +50,9 @@ struct checkpoint_options {
     /// io::snapshot_errc::io_failure is retried; anything else (a bug,
     /// not weather) rethrows immediately.
     std::size_t save_attempts = 3;
-    /// Backoff before retry k (0-based): backoff_initial_us *
-    /// backoff_multiplier^k, plus deterministic jitter in [0, delay/2)
-    /// drawn from (jitter_seed, k) — retries de-synchronize across
-    /// daemons without a global clock, and a replay sleeps identically.
+    /// Backoff before retry k (0-based): backoff_initial_us * 4^k.
     /// 0 disables sleeping entirely (tests).
     std::uint64_t backoff_initial_us = 500;
-    double backoff_multiplier = 4.0;
-    std::uint64_t jitter_seed = 0;
     /// Injected write failures (io/fault.h); decisions are drawn at
     /// index first_attempt_index + attempt, so a caller issuing many
     /// saves threads a cumulative counter through and each physical
@@ -86,8 +81,8 @@ struct checkpoint_save_stats {
 };
 
 /// save_checkpoint with bounded retry: on transient io_failure, retry
-/// up to opts.save_attempts total attempts with exponential backoff and
-/// deterministic jitter. Rethrows the last error once attempts are
+/// up to opts.save_attempts total attempts with exponential backoff.
+/// Rethrows the last error once attempts are
 /// exhausted (after counting saves_failed). `stats`, when non-null, is
 /// updated either way.
 void save_checkpoint(const stream_pipeline& pipeline, const std::string& path,
@@ -115,8 +110,8 @@ struct restore_report {
     std::size_t io_failed_skipped = 0;   ///< unreadable (permissions, EIO)
 };
 
-/// Scan `dir` for checkpoint snapshots (newest sequence number first,
-/// the legacy unnumbered `checkpoint.tfss` last), fully validate each
+/// Scan `dir` for checkpoint snapshots (newest sequence number first),
+/// fully validate each
 /// candidate, and restore the newest valid one into `pipeline`. Invalid
 /// candidates are skipped and counted by cause — a corrupt latest
 /// checkpoint costs `every_bins` of extra replay, not the run.
@@ -147,7 +142,7 @@ restore_report restore_latest_checkpoint(stream_pipeline& pipeline,
 ///
 /// `keep_last` > 0 enables count-based retention: after each successful
 /// write, older checkpoint files beyond the newest keep_last are
-/// deleted oldest-first (the legacy unnumbered file counts as oldest).
+/// deleted oldest-first.
 /// opts.keep_hours > 0 adds age-based retention on top (delete anything
 /// older than that many hours by mtime, never the file just written).
 /// 0 for both keeps everything.

@@ -37,6 +37,15 @@ constexpr std::uint16_t kVersionPipeline = 4;
 constexpr std::uint16_t kVersionShards = 3;
 constexpr std::uint16_t kVersionDetector = 3;
 
+/// What a reader quarantined between two readings of its counters.
+quarantine_stats since(const quarantine_stats& now,
+                       const quarantine_stats& before) {
+    return {now.frames_quarantined - before.frames_quarantined,
+            now.records_lost_corrupt - before.records_lost_corrupt,
+            now.resyncs - before.resyncs,
+            now.resync_bytes_skipped - before.resync_bytes_skipped};
+}
+
 }  // namespace
 
 stream_pipeline::stream_pipeline(const net::topology& topo,
@@ -103,11 +112,12 @@ void stream_pipeline::push(std::span<const flow::flow_record> records) {
     // records_per_second() reflects the full per-record ingest cost.
     const std::uint64_t t0 = now_ns();
     resolver_.resolve_batch(records, od_scratch_);
-    ingest(records, od_scratch_, t0);
+    ingest(records, od_scratch_, t0, {});
 }
 
 void stream_pipeline::ingest(std::span<const flow::flow_record> records,
-                             std::span<const int> ods, std::uint64_t t0) {
+                             std::span<const int> ods, std::uint64_t t0,
+                             const quarantine_stats& lost) {
     if (records.empty()) return;
     // The same clock (bin closures excluded) feeds the accumulate stage
     // histogram, once per call, when one is attached.
@@ -128,8 +138,18 @@ void stream_pipeline::ingest(std::span<const flow::flow_record> records,
     // consumed so far, so metrics().records_in doubles as the drained
     // stream position a checkpoint needs for exact resume. A batch can
     // span a bin boundary, so its drops are never counted all at once.
+    // The corrupt frames before the batch count with its first run: a
+    // checkpoint holds them exactly when its cut lies past them.
     std::size_t i = 0;
     const std::size_t n = records.size();
+    const auto count_in = [&](std::span<const int> run_ods) {
+        metrics_.resolver_drops.count_codes(run_ods);
+        metrics_.records_in += run_ods.size();
+        if (i > 0) return;
+        metrics_.frames_quarantined += lost.frames_quarantined;
+        metrics_.records_lost_corrupt += lost.records_lost_corrupt;
+        metrics_.resync_bytes_skipped += lost.resync_bytes_skipped;
+    };
     while (i < n) {
         const std::size_t bin = flow::bin_index(records[i].first_us, opts_.bin_us);
         // The run is the records in [start, start + bin_us): two compares
@@ -151,10 +171,9 @@ void stream_pipeline::ingest(std::span<const flow::flow_record> records,
         const bool late =
             bin_open_ ? bin < current_bin_ : started && bin <= current_bin_;
         if (late && current_bin_ - bin <= opts_.max_gap_bins) {
-            metrics_.resolver_drops.count_codes(run_ods);
+            count_in(run_ods);
             for (const int od : run_ods)
                 if (od >= 0) ++metrics_.late_records;
-            metrics_.records_in += run.size();
             i = j;
             continue;
         }
@@ -184,8 +203,7 @@ void stream_pipeline::ingest(std::span<const flow::flow_record> records,
             }
             t0 = now_ns();
         }
-        metrics_.resolver_drops.count_codes(run_ods);
-        metrics_.records_in += run.size();
+        count_in(run_ods);
         const std::uint64_t before = shards_.pending_records();
         const std::uint64_t bad0 = shards_.records_dropped_bad_od();
         shards_.accumulate(run, run_ods);
@@ -213,6 +231,7 @@ std::size_t stream_pipeline::run(flow_codec_reader& reader) {
     // only this run's delta into the pipeline metrics (readers may be
     // reused, pipelines may drain several readers).
     const quarantine_stats q0 = reader.quarantine();
+    const pipeline_metrics m0 = metrics_;
     bounded_queue<resolved_frame> queue(opts_.queue_frames);
     // Queue depth + one in flight on each side bounds how many buffers
     // can circulate, so the ring never needs to hold more than that.
@@ -225,12 +244,15 @@ std::size_t stream_pipeline::run(flow_codec_reader& reader) {
     // reason codes on the consuming thread, run by run, so metrics_
     // has one writer. The decode stage histogram is fed from the
     // producer thread and spans decode plus resolve; the histogram's
-    // buckets are atomics, so this is scrape-safe.
+    // buckets are atomics, so this is scrape-safe. Each frame carries
+    // what the reader quarantined since the previous one; an empty
+    // frame is skipped and its share rides on the next.
     obs::latency_histogram* decode_timer =
         opts_.timers ? opts_.timers->decode : nullptr;
     std::thread producer([&] {
         try {
             resolved_frame frame = ring.acquire();
+            quarantine_stats seen = q0;
             for (;;) {
                 bool got;
                 {
@@ -239,6 +261,9 @@ std::size_t stream_pipeline::run(flow_codec_reader& reader) {
                     if (got) resolver_.resolve_batch(frame.records, frame.ods);
                 }
                 if (!got) break;
+                if (frame.records.empty()) continue;
+                frame.lost = since(reader.quarantine(), seen);
+                seen = reader.quarantine();
                 if (!queue.push(std::move(frame))) break;
                 frame = ring.acquire();
             }
@@ -252,7 +277,7 @@ std::size_t stream_pipeline::run(flow_codec_reader& reader) {
     std::exception_ptr consumer_error;
     try {
         while (auto frame = queue.pop()) {
-            ingest(frame->records, frame->ods, now_ns());
+            ingest(frame->records, frame->ods, now_ns(), frame->lost);
             ring.release(std::move(*frame));
             ++frames;
         }
@@ -266,28 +291,37 @@ std::size_t stream_pipeline::run(flow_codec_reader& reader) {
     producer.join();
     last_run_blocked_pushes_ = queue.blocked_pushes();
     metrics_.frames_reused += ring.reuses();
-    const quarantine_stats& q1 = reader.quarantine();
-    const std::uint64_t dq_frames =
-        q1.frames_quarantined - q0.frames_quarantined;
-    const std::uint64_t dq_records =
-        q1.records_lost_corrupt - q0.records_lost_corrupt;
-    const std::uint64_t dq_bytes =
-        q1.resync_bytes_skipped - q0.resync_bytes_skipped;
-    metrics_.frames_quarantined += dq_frames;
-    metrics_.records_lost_corrupt += dq_records;
-    metrics_.resync_bytes_skipped += dq_bytes;
+    if (!consumer_error && !producer_error) {
+        try {
+            finish();
+        } catch (...) {
+            consumer_error = std::current_exception();
+        }
+    }
+    // The consumed frames counted their deltas in ingest(). What is left
+    // of the run's delta (corrupt frames after the last surviving
+    // record, or frames a failed drain never consumed) is folded after
+    // finish(), so the last bin's checkpoint never holds a loss that a
+    // resume's skip would not pass again.
+    const quarantine_stats dq = since(reader.quarantine(), q0);
+    metrics_.frames_quarantined = m0.frames_quarantined + dq.frames_quarantined;
+    metrics_.records_lost_corrupt =
+        m0.records_lost_corrupt + dq.records_lost_corrupt;
+    metrics_.resync_bytes_skipped =
+        m0.resync_bytes_skipped + dq.resync_bytes_skipped;
     // Degraded-operation summaries for this run, emitted only when the
     // run actually degraded (zero-delta events would be noise). Summing
     // the deltas across every emitted event reproduces metrics()
     // exactly, which the reconciliation test relies on. Emitted even
     // when the drain is about to rethrow: the deltas are already folded
     // into metrics(), so the event stream must carry them too.
-    if (lifecycle_cb_ && (dq_frames || dq_records || dq_bytes)) {
+    if (lifecycle_cb_ && (dq.frames_quarantined || dq.records_lost_corrupt ||
+                          dq.resync_bytes_skipped)) {
         lifecycle_event ev;
         ev.type = lifecycle_event::kind::quarantine;
-        ev.frames_quarantined = dq_frames;
-        ev.records_lost = dq_records;
-        ev.resync_bytes = dq_bytes;
+        ev.frames_quarantined = dq.frames_quarantined;
+        ev.records_lost = dq.records_lost_corrupt;
+        ev.resync_bytes = dq.resync_bytes_skipped;
         lifecycle_cb_(ev);
     }
     if (lifecycle_cb_ && last_run_blocked_pushes_ > 0) {
@@ -299,7 +333,6 @@ std::size_t stream_pipeline::run(flow_codec_reader& reader) {
     }
     if (consumer_error) std::rethrow_exception(consumer_error);
     if (producer_error) std::rethrow_exception(producer_error);
-    finish();
     return frames;
 }
 

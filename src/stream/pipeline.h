@@ -1,8 +1,7 @@
 // tfd::stream — bin-synchronous streaming pipeline.
 //
-// Turns a flow-record stream (codec frames, capture flushes, or raw
-// batches) into per-bin entropy snapshots and feeds them to the online
-// detector, bin by bin:
+// Turns a flow-record stream (codec frames or raw batches) into per-bin
+// entropy snapshots and feeds them to the online detector, bin by bin:
 //
 //   frames -> decode + resolve -> [bounded queue] -> shard accumulate
 //          -> (bin boundary) harvest -> online_detector::push -> verdict
@@ -127,6 +126,9 @@ private:
 struct resolved_frame {
     std::vector<flow::flow_record> records;
     std::vector<int> ods;
+    /// What the reader quarantined since the previous frame it handed
+    /// out: the corrupt frames just before this one.
+    quarantine_stats lost;
 };
 
 /// A bounded free-list of resolved-frame buffers. run()'s producer
@@ -205,8 +207,8 @@ struct pipeline_options {
 /// the degraded-operation moments that the bin observer cannot see:
 /// time-base discontinuities (emitted at the reset, before the closing
 /// bin's on_bin callback), and per-run() quarantine/backpressure
-/// summaries (emitted once after a run() drain, with this run's deltas,
-/// after the quarantine counters were folded into metrics()).
+/// summaries (emitted once after a run() drain and its finish(), with
+/// this run's deltas, once all of them are in metrics()).
 struct lifecycle_event {
     enum class kind { time_base_reset, quarantine, backpressure };
     kind type = kind::time_base_reset;
@@ -256,7 +258,11 @@ struct pipeline_metrics {
     /// discarded while rescanning for the next plausible frame
     /// boundary. Records lost to quarantine never reach push(), so
     /// records_in still names the exact resume position within the
-    /// *surviving* record stream.
+    /// *surviving* record stream. A corrupt frame is counted together
+    /// with the first surviving record after it (corrupt frames with
+    /// none after them, after run()'s finish()), so a checkpoint holds
+    /// exactly the losses before its records_in cut: the ones a
+    /// resume's skip passes again.
     std::uint64_t frames_quarantined = 0;
     std::uint64_t records_lost_corrupt = 0;
     std::uint64_t resync_bytes_skipped = 0;
@@ -324,8 +330,11 @@ public:
     /// Drain an entire codec stream: decodes and resolves frames on a
     /// producer thread, consumes them here through a bounded queue
     /// (capacity opts.queue_frames) with push()'s per-run accounting,
-    /// then finishes the open bin. Returns frames consumed; rethrows
-    /// codec errors on this thread.
+    /// then finishes the open bin. Returns frames consumed (empty
+    /// frames are skipped); rethrows codec errors on this thread. The
+    /// reader's quarantine counters from before the call are not
+    /// folded, so a resume can skip the consumed prefix through the
+    /// same reader, push() the rest of the cut frame, then run() it.
     std::size_t run(flow_codec_reader& reader);
 
     /// Close the currently open bin (if any) and emit it. A later push()
@@ -377,10 +386,11 @@ public:
 
 private:
     /// The per-run loop push() and run() share: `ods[i]` is the
-    /// resolve_batch output for `records[i]`, and the accumulation
-    /// clock started at `t0`.
+    /// resolve_batch output for `records[i]`, the accumulation clock
+    /// started at `t0`, and `lost` is counted with the first run.
     void ingest(std::span<const flow::flow_record> records,
-                std::span<const int> ods, std::uint64_t t0);
+                std::span<const int> ods, std::uint64_t t0,
+                const quarantine_stats& lost);
     void emit_bin(std::size_t bin);
     void close_bin();
     void reset_time_base(std::size_t bin);

@@ -25,7 +25,7 @@ cell_source background_source(const tfd::traffic::background_model& m) {
 
 TEST(DatasetBuilderTest, ShapeMatchesRequest) {
     tfd::traffic::background_model m(abilene());
-    auto d = build_od_dataset(12, 121, background_source(m), 2);
+    auto d = build_od_dataset(12, 121, background_source(m));
     EXPECT_EQ(d.bins(), 12u);
     EXPECT_EQ(d.flows(), 121u);
     for (const auto& e : d.entropy) {
@@ -44,19 +44,28 @@ TEST(DatasetBuilderTest, RejectsDegenerateArguments) {
                  std::invalid_argument);
 }
 
-TEST(DatasetBuilderTest, SingleAndMultiThreadAgree) {
+TEST(DatasetBuilderTest, PoolBuildMatchesSerialCells) {
+    // The bins run as pool tasks in any order; every cell must equal a
+    // fresh serial histogram of the same records, bit for bit.
     tfd::traffic::background_model m(abilene());
-    auto a = build_od_dataset(8, 30, background_source(m), 1);
-    auto b = build_od_dataset(8, 30, background_source(m), 2);
-    EXPECT_EQ(tfd::linalg::max_abs_diff(a.bytes, b.bytes), 0.0);
-    EXPECT_EQ(tfd::linalg::max_abs_diff(a.packets, b.packets), 0.0);
-    for (int f = 0; f < 4; ++f)
-        EXPECT_EQ(tfd::linalg::max_abs_diff(a.entropy[f], b.entropy[f]), 0.0);
+    const auto d = build_od_dataset(8, 30, background_source(m));
+    for (std::size_t bin = 0; bin < 8; ++bin)
+        for (int od = 0; od < 30; ++od) {
+            feature_histogram_set hists;
+            hists.add_records(m.generate(bin, od));
+            EXPECT_EQ(d.bytes(bin, od),
+                      static_cast<double>(hists.total_bytes()));
+            EXPECT_EQ(d.packets(bin, od),
+                      static_cast<double>(hists.total_packets()));
+            const auto h = hists.entropies();
+            for (int f = 0; f < 4; ++f)
+                EXPECT_EQ(d.entropy[f](bin, od), h[f]);
+        }
 }
 
 TEST(DatasetBuilderTest, VolumeAndEntropyArePositiveForBusyFlows) {
     tfd::traffic::background_model m(abilene());
-    auto d = build_od_dataset(6, 121, background_source(m), 2);
+    auto d = build_od_dataset(6, 121, background_source(m));
     int busy_cells = 0, entropic_cells = 0;
     for (std::size_t t = 0; t < d.bins(); ++t)
         for (std::size_t od = 0; od < d.flows(); ++od) {
@@ -72,7 +81,7 @@ TEST(DatasetBuilderTest, VolumeAndEntropyArePositiveForBusyFlows) {
 
 TEST(DatasetBuilderTest, EntropySeriesSliceMatchesMatrix) {
     tfd::traffic::background_model m(abilene());
-    auto d = build_od_dataset(5, 20, background_source(m), 1);
+    auto d = build_od_dataset(5, 20, background_source(m));
     auto s = entropy_series(d, feature::dst_port, 7);
     ASSERT_EQ(s.size(), 5u);
     for (std::size_t t = 0; t < 5; ++t)
@@ -81,8 +90,7 @@ TEST(DatasetBuilderTest, EntropySeriesSliceMatchesMatrix) {
 
 TEST(DatasetBuilderTest, EmptyCellsYieldZeros) {
     auto d = build_od_dataset(
-        3, 4, [](std::size_t, int) { return std::vector<tfd::flow::flow_record>{}; },
-        1);
+        3, 4, [](std::size_t, int) { return std::vector<tfd::flow::flow_record>{}; });
     for (std::size_t t = 0; t < 3; ++t)
         for (std::size_t od = 0; od < 4; ++od) {
             EXPECT_EQ(d.bytes(t, od), 0.0);

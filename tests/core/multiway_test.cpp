@@ -138,7 +138,7 @@ TEST(DetectorTest, DetectsAndIdentifiesPlantedPortScan) {
         return recs;
     };
 
-    auto data = build_od_dataset(bins, topo.od_count(), source, 2);
+    auto data = build_od_dataset(bins, topo.od_count(), source);
     auto det = detect_entropy_anomalies(data, {.normal_dims = 10},
                                         0.999);
 

@@ -36,7 +36,7 @@ entropy_space_points make_known_points(
 
     auto clean = core::build_od_dataset(
         bins, topo.od_count(),
-        [&](std::size_t b, int od) { return bg.generate(b, od); }, 2);
+        [&](std::size_t b, int od) { return bg.generate(b, od); });
     auto m = core::unfold(clean);
     auto model = core::subspace_model::fit(m.h, {.normal_dims = 10});
 

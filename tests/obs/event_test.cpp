@@ -1,6 +1,6 @@
 // The structured event stream: JSON encoding invariants, the JSONL
 // schema of every event type, emitter sequencing, and sink behaviour
-// (memory, ring, tee, file, stream).
+// (memory, ring, tee, file), and the seq that continues a file log.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -204,13 +204,46 @@ TEST(ObsSink, FileSinkAppendsValidJsonl) {
                  std::system_error);
 }
 
-TEST(ObsSink, StreamSinkWritesLines) {
-    std::ostringstream os;
-    stream_sink sink(os);
-    event_emitter em(&sink);
-    em.emit(0, event_data(backpressure_data{.blocked_pushes = 2}));
-    EXPECT_NE(os.str().find("\"type\":\"backpressure\""), std::string::npos);
-    EXPECT_EQ(os.str().back(), '\n');
+TEST(ObsSink, NextEventSeqContinuesAFileSinkLog) {
+    namespace fs = std::filesystem;
+    const fs::path path = fs::temp_directory_path() /
+                          ("tfd_obs_next_seq_" + std::to_string(::getpid()) +
+                           ".jsonl");
+    fs::remove(path);
+    // Missing, then empty: a new log starts at 1.
+    EXPECT_EQ(next_event_seq(path.string()), 1u);
+    std::ofstream(path.string()).close();
+    EXPECT_EQ(next_event_seq(path.string()), 1u);
+
+    // A first process writes seqs 1..3; checkpoint_seq (a payload key
+    // ending in "seq") must not be taken for the envelope's.
+    {
+        file_sink sink(path.string());
+        event_emitter em(&sink, next_event_seq(path.string()));
+        em.emit(1, event_data(bin_closed_data{.records = 5}));
+        em.emit(2, event_data(checkpoint_saved_data{.path = "c", .seq = 40}));
+        em.emit(2, event_data(bin_closed_data{.records = 6}));
+    }
+    EXPECT_EQ(next_event_seq(path.string()), 4u);
+
+    // A restarted process appends from there, so the whole log stays
+    // strictly increasing.
+    {
+        file_sink sink(path.string());
+        event_emitter em(&sink, next_event_seq(path.string()));
+        em.emit(2, event_data(bin_closed_data{.records = 6}));
+    }
+    std::ifstream in(path);
+    std::string line;
+    std::vector<std::uint64_t> seqs;
+    while (std::getline(in, line)) {
+        const std::size_t at = line.find("\"seq\":");
+        ASSERT_NE(at, std::string::npos);
+        seqs.push_back(std::stoull(line.substr(at + 6)));
+    }
+    EXPECT_EQ(seqs, (std::vector<std::uint64_t>{1, 2, 3, 4}));
+    EXPECT_EQ(next_event_seq(path.string()), 5u);
+    fs::remove(path);
 }
 
 TEST(ObsEvent, DriftAndRecalibratedJsonlShape) {

@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <sstream>
 #include <string>
@@ -367,6 +368,139 @@ TEST(ObsReconcile, QuarantinedRunReconcilesEventDeltas) {
     for (const obs::event& e : bins)
         ev_close_ns += std::get<obs::bin_closed_data>(e.data).close_ns;
     EXPECT_EQ(ev_close_ns, pm.bin_close_ns);
+}
+
+TEST(ObsReconcile, ResumeFromRunCheckpointKeepsQuarantineCounts) {
+    // Frames of 997 records that ignore bin boundaries, so a checkpoint
+    // cut falls inside a frame. Three frames get one payload byte
+    // flipped (a checksum mismatch quarantines each whole): one before
+    // the bin-6 checkpoint, one after it, and the last frame, which has
+    // no surviving frame after it.
+    const auto topo = net::topology::abilene();
+    const traffic::background_model bg(topo);
+    std::vector<flow::flow_record> all;
+    for (std::size_t bin = 0; bin < kBins; ++bin) {
+        const auto records = gen_bin(bg, bin);
+        all.insert(all.end(), records.begin(), records.end());
+    }
+    constexpr std::size_t kFrameRecords = 997;
+    constexpr std::size_t kHeaderBytes = 24;
+    std::ostringstream os;
+    std::vector<std::size_t> offsets, sizes, first_bins;
+    {
+        flow_codec_writer writer(os);
+        for (std::size_t i = 0; i < all.size(); i += kFrameRecords) {
+            const auto frame = std::span(all).subspan(
+                i, std::min(kFrameRecords, all.size() - i));
+            offsets.push_back(static_cast<std::size_t>(os.tellp()));
+            sizes.push_back(frame.size());
+            first_bins.push_back(flow::bin_index(frame.front().first_us));
+            writer.add(frame);
+            writer.flush_frame();
+        }
+        writer.finish();
+    }
+    std::string spool = os.str();
+    const auto frame_in_bin = [&](std::size_t bin) {
+        return static_cast<std::size_t>(
+            std::find(first_bins.begin(), first_bins.end(), bin) -
+            first_bins.begin());
+    };
+    const std::size_t corrupt[] = {frame_in_bin(2), frame_in_bin(9),
+                                   offsets.size() - 1};
+    std::uint64_t corrupt_records = 0;
+    for (const std::size_t f : corrupt) {
+        ASSERT_LT(f, offsets.size());
+        spool[offsets[f] + kHeaderBytes + 10] ^= 0x10;
+        corrupt_records += sizes[f];
+    }
+
+    pipeline_options opts;
+    opts.shards = 2;
+    opts.online = small_online();
+    codec_read_options ropts;
+    ropts.on_corrupt = corrupt_policy::quarantine;
+    const temp_dir dir("run_ckpt");
+
+    // Uninterrupted run, checkpointing every 3 bins from run()'s own
+    // on_bin: checkpoint-000001 holds bins 0-5, checkpoint-000003 all 12.
+    pipeline_metrics full;
+    {
+        stream_pipeline p(topo, opts);
+        obs_harness h;
+        obs::pipeline_bridge bridge(p, h.options(topo));
+        periodic_checkpointer ckpt(p, dir.path.string(), 3);
+        bridge.wire_checkpointer(ckpt);
+        p.on_bin([&](const bin_result& r) {
+            bridge.observe_bin(r);
+            ckpt.on_bin_emitted();
+        });
+        std::istringstream in(spool);
+        flow_codec_reader reader(in, ropts);
+        p.run(reader);
+        full = p.metrics();
+        ASSERT_EQ(ckpt.checkpoints_written(), 4u);
+    }
+    ASSERT_EQ(full.frames_quarantined, 3u);
+    EXPECT_EQ(full.records_lost_corrupt, corrupt_records);
+
+    for (const auto& [name, restored_frames] :
+         {std::pair{"checkpoint-000001.tfss", 1u},
+          std::pair{"checkpoint-000003.tfss", 2u}}) {
+        SCOPED_TRACE(name);
+        stream_pipeline p(topo, opts);
+        restore_checkpoint(p, (dir.path / name).string());
+        // The checkpoint holds the losses before its cut, no more.
+        EXPECT_EQ(p.metrics().frames_quarantined, restored_frames);
+        const std::uint64_t restored_lost = p.metrics().records_lost_corrupt;
+
+        obs_harness h;
+        obs::pipeline_bridge bridge(p, h.options(topo));
+        p.on_bin([&](const bin_result& r) { bridge.observe_bin(r); });
+
+        // Resume as the daemon does: skip records_in surviving records
+        // frame by frame, push the rest of the frame the cut falls in,
+        // then drain the remainder through run().
+        std::istringstream in(spool);
+        flow_codec_reader reader(in, ropts);
+        std::uint64_t skip = p.metrics().records_in;
+        std::vector<flow::flow_record> frame;
+        bool cut_inside_frame = false;
+        while (skip > 0 && reader.next_frame(frame)) {
+            const auto n = static_cast<std::size_t>(
+                std::min<std::uint64_t>(skip, frame.size()));
+            skip -= n;
+            if (n < frame.size()) {
+                p.push(std::span<const flow::flow_record>(frame).subspan(n));
+                cut_inside_frame = true;
+            }
+        }
+        ASSERT_EQ(skip, 0u);
+        if (restored_frames == 1) {
+            EXPECT_TRUE(cut_inside_frame);
+        }
+        p.run(reader);
+
+        const pipeline_metrics& pm = p.metrics();
+        expect_conservation(pm);
+        EXPECT_EQ(pm.records_in, full.records_in);
+        EXPECT_EQ(pm.bins_emitted, full.bins_emitted);
+        EXPECT_EQ(pm.anomalies, full.anomalies);
+        EXPECT_EQ(pm.frames_quarantined, full.frames_quarantined);
+        EXPECT_EQ(pm.records_lost_corrupt, full.records_lost_corrupt);
+        EXPECT_EQ(pm.resync_bytes_skipped, full.resync_bytes_skipped);
+
+        // This run's quarantine event carries only what it added.
+        std::uint64_t ev_frames = 0, ev_lost = 0;
+        for (const obs::event& e :
+             h.sink.events_of(obs::event_type::quarantine)) {
+            const auto& q = std::get<obs::quarantine_data>(e.data);
+            ev_frames += q.frames;
+            ev_lost += q.records_lost;
+        }
+        EXPECT_EQ(ev_frames, pm.frames_quarantined - restored_frames);
+        EXPECT_EQ(ev_lost, pm.records_lost_corrupt - restored_lost);
+    }
 }
 
 TEST(ObsReconcile, ResumeContinuesSequenceAndReconcilesDeltas) {
